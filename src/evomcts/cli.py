@@ -102,6 +102,18 @@ class ExperimentConfig:
         for f in self.functions:
             if f not in FUNCTION_IDS:
                 raise ValueError(f"unknown function {f!r}")
+        for i, f in enumerate(self.functions):
+            if f in self.functions[:i]:
+                raise ValueError(f"function {f!r} is listed more than once")
+        # Labels name the output files and feed derive_run_seed, so two
+        # agents sharing one would share seeds and overwrite each other.
+        by_label: dict = {}
+        for agent in self.agents:
+            other = by_label.setdefault(agent.label, agent)
+            if other is not agent:
+                raise ValueError(
+                    f"agents {other} and {agent} share the label {agent.label!r}"
+                )
         if any(a.kind == "siea" for a in self.agents):
             if self.post_iterations < 1:
                 raise ValueError(
@@ -352,11 +364,39 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: Keys a --config file may hold.
+_CONFIG_KEYS = (
+    "functions",
+    "agents",
+    "iterations",
+    "runs",
+    "bins",
+    "seed",
+    "ea_generations",
+    "ea_lambda",
+    "ea_sims",
+    "ea_alpha",
+    "ea_beta",
+    "out",
+    "workers",
+    "allow_any_c",
+    "visit_weighted",
+)
+
+
 def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     file_values: dict = {}
     if args.config is not None:
         with open(args.config) as fh:
             file_values = json.load(fh)
+        if not isinstance(file_values, dict):
+            raise ValueError(f"{args.config} must hold a JSON object")
+        unknown = sorted(set(file_values) - set(_CONFIG_KEYS))
+        if unknown:
+            raise ValueError(
+                f"unknown key(s) {', '.join(unknown)} in {args.config}; "
+                f"accepted keys: {', '.join(_CONFIG_KEYS)}"
+            )
 
     def pick(flag_value, key, default):
         if flag_value is not None:

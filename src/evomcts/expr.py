@@ -14,6 +14,10 @@ with exploration constant sqrt(2)::
 
 and :func:`parse` / ``str()`` round-trip exactly (constants are printed
 with ``repr`` so no precision is lost).
+
+:func:`evaluate` interprets a tree node by node and is the reference;
+:func:`compile_expression` turns a tree into one Python function with
+bit-identical results, for callers that score the same tree many times.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ __all__ = [
     "protected_log",
     "protected_sqrt",
     "evaluate",
+    "compile_expression",
     "uct_seed",
     "random_subtree",
     "mutate",
@@ -107,6 +112,11 @@ class Const:
     """Constant leaf."""
 
     value: float
+
+    def __post_init__(self):
+        # Also keeps repr(value) a valid literal for compile_expression.
+        if not math.isfinite(self.value):
+            raise ValueError(f"constant must be finite, got {self.value!r}")
 
     def _eval(self, q: float, n_parent: float, n_child: float) -> float:
         return self.value
@@ -210,6 +220,64 @@ def evaluate(expression: Expression, ctx: NodeContext) -> float:
     expression built from the declared operator set.
     """
     return expression.root._eval(ctx.q, ctx.n_parent, ctx.n_child)
+
+
+_VAR_CODE = {"Q": "q", "Np": "n_parent", "Nc": "n_child"}
+_OP_CODE = {
+    "add": "_saturate({} + {})",
+    "sub": "_saturate({} - {})",
+    "mul": "_saturate({} * {})",
+    "div": "_saturate(protected_div({}, {}))",
+    "log": "protected_log({})",
+    "sqrt": "protected_sqrt({})",
+}
+_COMPILED_GLOBALS = {
+    "_saturate": _saturate,
+    "protected_div": protected_div,
+    "protected_log": protected_log,
+    "protected_sqrt": protected_sqrt,
+}
+
+
+def _emit(node, lines: list) -> str:
+    # Returns the operand naming this node's value; each operator node
+    # becomes one assignment, so no tree is too deep for the compiler.
+    kind = type(node)
+    if kind is Const:
+        return repr(node.value)
+    if kind is Var:
+        return _VAR_CODE[node.name]
+    operands = []
+    for child in node.args:
+        operands.append(_emit(child, lines))
+    name = f"t{len(lines)}"
+    lines.append(f"    {name} = {_OP_CODE[node.op].format(*operands)}")
+    return name
+
+
+def compile_expression(expression: Expression):
+    """Build ``score(q, n_parent, n_child) -> float`` from the tree once.
+
+    The function returns exactly ``evaluate(expression, NodeContext(q,
+    n_parent, n_child))``: constants are written with ``repr`` (exact for
+    the finite floats ``Const`` admits), Np and Nc are converted with
+    ``float()`` as ``Var`` does, and each operator calls the same
+    protected operator and saturation helper as the interpreter.
+    """
+    lines: list = []
+    result = _emit(expression.root, lines)
+    source = "\n".join(
+        [
+            "def score(q, n_parent, n_child):",
+            "    n_parent = float(n_parent)",
+            "    n_child = float(n_child)",
+            *lines,
+            f"    return {result}",
+        ]
+    )
+    namespace = dict(_COMPILED_GLOBALS)
+    exec(compile(source, "<compiled expression>", "exec"), namespace)
+    return namespace["score"]
 
 
 def uct_seed(c: float) -> Expression:

@@ -3,9 +3,12 @@
 The engine is generic over an environment object providing
 ``initial_state() / actions(s) / apply(s, a) / is_terminal(s) /
 sample_reward(s, rng) / centre(s)``.  A selection policy is any callable
-mapping a :class:`~evomcts.expr.NodeContext` to a float score; two are
-provided: closed-form UCB1 with a fixed exploration constant, and
-evaluation of an arbitrary expression tree.
+``policy(q, n_parent, n_child) -> float`` scoring one visited child from
+its mean reward ``q``, its parent's visit count and its own visit count
+(both ints >= 1, the fields of :class:`~evomcts.expr.NodeContext`); the
+highest score wins, and a policy must give at least one child a score
+above -inf.  Two policies are provided: closed-form UCB1 with a fixed
+exploration constant, and an expression tree compiled once per policy.
 
 RNG protocol (all determinism and the trace tests rest on this): the
 engine draws from a single ``random.Random`` stream, always via
@@ -21,7 +24,11 @@ from __future__ import annotations
 import math
 import random
 
-from .expr import Expression, NodeContext, evaluate
+from .expr import Expression, compile_expression
+
+# Not called here since policies compile their expression, but kept in this
+# namespace: perfbench/tracing.py wraps ``mcts.evaluate`` by that name.
+from .expr import evaluate
 
 __all__ = [
     "SearchNode",
@@ -90,21 +97,24 @@ class UctPolicy:
     def __init__(self, c: float):
         self.c = float(c)
 
-    def __call__(self, ctx: NodeContext) -> float:
-        return ctx.q + self.c * math.sqrt(2.0 * math.log(ctx.n_parent) / ctx.n_child)
+    def __call__(self, q: float, n_parent: int, n_child: int) -> float:
+        return q + self.c * math.sqrt(2.0 * math.log(n_parent) / n_child)
 
     def __repr__(self):
         return f"UctPolicy(c={self.c!r})"
 
 
 class ExpressionPolicy:
-    """Score children with an expression tree."""
+    """Score children with an expression tree, compiled once here."""
 
     def __init__(self, expression: Expression):
         self.expression = expression
+        self._score = compile_expression(expression)
 
-    def __call__(self, ctx: NodeContext) -> float:
-        return evaluate(self.expression, ctx)
+    # A method rather than ``self.__call__ = self._score``: perfbench/tracing.py
+    # counts policy calls by wrapping ExpressionPolicy.__call__ on the class.
+    def __call__(self, q: float, n_parent: int, n_child: int) -> float:
+        return self._score(q, n_parent, n_child)
 
     def __repr__(self):
         return f"ExpressionPolicy({str(self.expression)!r})"
@@ -122,6 +132,8 @@ def select(root: SearchNode, policy, rng: random.Random) -> SearchNode:
 
     Only visited children exist in ``children``, so every scored child
     has visits >= 1.  Exact score ties are broken uniformly at random.
+    Raises ValueError when the policy scores no child above -inf (for
+    instance when it returns NaN).
     """
     node = root
     while not node.untried and node.children:
@@ -129,12 +141,14 @@ def select(root: SearchNode, policy, rng: random.Random) -> SearchNode:
         best_score = -math.inf
         ties: list = []
         for child in node.children:
-            score = policy(NodeContext(child.total_reward / child.visits, n_parent, child.visits))
+            score = policy(child.total_reward / child.visits, n_parent, child.visits)
             if score > best_score:
                 best_score = score
                 ties = [child]
             elif score == best_score:
                 ties.append(child)
+        if best_score == -math.inf:
+            raise ValueError(f"policy {policy!r} scored no child above -inf")
         node = ties[0] if len(ties) == 1 else ties[rng.randrange(len(ties))]
     return node
 
@@ -158,9 +172,11 @@ def rollout(node: SearchNode, env, rng: random.Random) -> float:
     reward is sampled immediately.
     """
     state = node.state
-    while not env.is_terminal(state):
-        actions = env.actions(state)
-        state = env.apply(state, actions[rng.randrange(len(actions))])
+    is_terminal, actions_of, apply = env.is_terminal, env.actions, env.apply
+    randrange = rng.randrange
+    while not is_terminal(state):
+        actions = actions_of(state)
+        state = apply(state, actions[randrange(len(actions))])
     return env.sample_reward(state, rng)
 
 

@@ -5,8 +5,10 @@ The five functions are checked against scalar re-derivations in
 frozen spot values, and the interval mechanics are checked down to the
 exact dyadic grid of terminal centres."""
 
+import hashlib
 import math
 import random
+import struct
 
 import numpy as np
 import pytest
@@ -105,6 +107,28 @@ class TestFunctionValues:
     def test_unknown_function_rejected(self):
         with pytest.raises(ValueError):
             eval_function("f6", 0.5)
+
+
+# sha256 over struct.pack("<d", p) of the reward probability at each of
+# the 2^17 depth-17 leaves, left to right, computed through numpy's scalar
+# path before the search switched to the plain-math forms.
+LEAF_TABLE_SHA256 = {
+    "f1": "5584e868fd169bb48f95822fe7fb2227a402c1fe0f6f3e047c6198b315c2faa9",
+    "f2": "485951cac4a10c9cef62c6cd364510e32e5e269631a3a8f000f9bff214a621d0",
+    "f3": "5b786d377c11a2f9776df647ce03237031740f3e7497cb3ab34dd7db74b5b26b",
+    "f4": "601111a5f48ac13f868aabc9cca1a4f6e65823efac1384bab8e20e1b231bc862",
+    "f5": "2c021cc6c01abc7e5703067f9ae59c446e3bf3709705b92a5faf2e12d36d3b6f",
+}
+
+
+@pytest.mark.parametrize("fid", FUNCTION_IDS)
+def test_leaf_table_unchanged(fid):
+    env = FunctionEnv(fid)
+    n = 1 << 17
+    digest = hashlib.sha256()
+    for i in range(n):
+        digest.update(struct.pack("<d", env.probability(IntervalState(i / n, (i + 1) / n))))
+    assert digest.hexdigest() == LEAF_TABLE_SHA256[fid]
 
 
 class TestIntervalMechanics:

@@ -103,6 +103,18 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(functions=["f7"])
 
+    def test_duplicate_function_rejected(self):
+        with pytest.raises(ValueError, match="'f1' is listed more than once"):
+            ExperimentConfig(functions=["f1", "f2", "f1"])
+
+    def test_colliding_agent_labels_rejected(self):
+        # Both constants print as "uct_c0.5" under {c:g}, so they would
+        # derive the same seeds and write the same files.
+        with pytest.raises(ValueError, match="share the label 'uct_c0.5'"):
+            ExperimentConfig(agents=[AgentSpec("uct", 0.5), AgentSpec("uct", 0.5000001)])
+        with pytest.raises(ValueError, match="share the label 'siea'"):
+            ExperimentConfig(agents=[AgentSpec("siea"), AgentSpec("siea")])
+
     def test_basic_bounds(self):
         for kwargs in (
             {"iterations": 0},
@@ -240,6 +252,29 @@ class TestMain:
         code = main(["--agents", "uct:0.7", "--out", str(tmp_path)])
         assert code == 2
         assert "allow-any-c" in capsys.readouterr().err
+
+    def test_duplicate_function_exits_2(self, tmp_path, capsys):
+        argv = ["--functions", "f1,f1", "--agents", "uct:1", "--runs", "1", "--iterations", "20"]
+        code = main([*argv, "--out", str(tmp_path)])
+        assert code == 2
+        assert "'f1' is listed more than once" in capsys.readouterr().err
+
+    def test_colliding_agent_labels_exit_2(self, tmp_path, capsys):
+        argv = ["--allow-any-c", "--agents", "uct:0.5,uct:0.5000001", "--functions", "f1"]
+        code = main([*argv, "--runs", "1", "--iterations", "20", "--out", str(tmp_path)])
+        assert code == 2
+        assert "uct_c0.5" in capsys.readouterr().err
+
+    def test_unknown_config_key_exits_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"iteration": 10}))
+        argv = ["--functions", "f1", "--agents", "uct:1", "--runs", "1"]
+        code = main(["--config", str(cfg_path), *argv, "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "unknown key(s) iteration" in err
+        assert "accepted keys: functions, agents, iterations," in err
+        assert not (tmp_path / "out").exists()
 
     def test_missing_config_file_exits_2(self, tmp_path):
         code = main(["--config", str(tmp_path / "nope.json")])

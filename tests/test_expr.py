@@ -3,6 +3,7 @@ selection rule, random growth, subtree mutation, and serialisation."""
 
 import math
 import random
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from evomcts.expr import (
     K_VALUES,
     NodeContext,
     Var,
+    compile_expression,
     evaluate,
     mutate,
     parse,
@@ -89,6 +91,16 @@ class TestEvaluate:
             Func("log", (Var("Q"), Var("Nc")))
         with pytest.raises(ValueError):
             Func("pow", (Var("Q"), Var("Nc")))
+
+    def test_non_finite_constant_rejected(self):
+        # A NaN constant used to parse and then make every score NaN, so
+        # select failed later with "empty range for randrange()".
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                Const(value)
+        for text in ("(add Q (k nan))", "(k inf)", "(k 1e999)"):
+            with pytest.raises(ValueError, match="finite"):
+                parse(text)
 
     def test_protection_inside_tree(self):
         # div picks the fallback when the evaluated divisor is tiny.
@@ -368,6 +380,29 @@ class TestTotalisation:
     def test_round_trip_property(self, root):
         e = Expression(root)
         assert parse(str(e)) == e
+
+    @given(
+        root=_trees,
+        q=_finite,
+        n_parent=st.one_of(st.integers(min_value=1, max_value=10**9), _finite),
+        n_child=st.one_of(st.integers(min_value=1, max_value=10**9), _finite),
+    )
+    @settings(max_examples=300)
+    def test_compiled_matches_interpreter(self, root, q, n_parent, n_child):
+        e = Expression(root)
+        want = evaluate(e, NodeContext(q, n_parent, n_child))
+        got = compile_expression(e)(q, n_parent, n_child)
+        assert struct.pack("<d", got) == struct.pack("<d", want)
+
+    def test_compiled_tree_deeper_than_parser_nesting(self):
+        # One statement per node: a 300-deep chain would exceed the
+        # nesting limit of Python's parser as a single nested expression.
+        node = Var("Np")
+        for _ in range(300):
+            node = Func("sqrt", (node,))
+        e = Expression(node)
+        ctx = NodeContext(0.5, 7.0, 3.0)
+        assert compile_expression(e)(*ctx) == evaluate(e, ctx)
 
     def test_saturation_on_product_towers(self):
         # A balanced tower of 128 multiplied parent counts overflows

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import closed_form_uct, tree_signature
 from evomcts.bench import FunctionEnv, IntervalState, eval_function
-from evomcts.expr import K_VALUES, NodeContext, uct_seed
+from evomcts.expr import K_VALUES, uct_seed
 from evomcts.mcts import (
     ExpressionPolicy,
     SearchNode,
@@ -50,8 +50,8 @@ class TestPolicies:
             for _ in range(200):
                 n_parent = rng.randrange(1, 10_000)
                 n_child = rng.randrange(1, n_parent + 1)
-                ctx = NodeContext(rng.random(), float(n_parent), float(n_child))
-                assert policy(ctx) == closed_form_uct(*ctx, c)
+                q = rng.random()
+                assert policy(q, n_parent, n_child) == closed_form_uct(q, n_parent, n_child, c)
 
     def test_expression_policy_equals_uct_policy(self):
         rng = random.Random(52)
@@ -61,8 +61,8 @@ class TestPolicies:
             for _ in range(200):
                 n_parent = rng.randrange(1, 10_000)
                 n_child = rng.randrange(1, n_parent + 1)
-                ctx = NodeContext(rng.random(), float(n_parent), float(n_child))
-                assert abs(tree_policy(ctx) - closed(ctx)) <= 1e-9
+                stats = (rng.random(), n_parent, n_child)
+                assert abs(tree_policy(*stats) - closed(*stats)) <= 1e-9
 
 
 class TestSelect:
@@ -113,9 +113,21 @@ class TestSelect:
         base = UctPolicy(math.sqrt(2.0))
         env1, env2 = FunctionEnv("f1"), FunctionEnv("f1")
         root1, log1 = run_search(env1, base, 400, random.Random(57))
-        root2, log2 = run_search(env2, lambda ctx: 2.0 * base(ctx), 400, random.Random(57))
+
+        def doubled(q, n_parent, n_child):
+            return 2.0 * base(q, n_parent, n_child)
+
+        root2, log2 = run_search(env2, doubled, 400, random.Random(57))
         assert log1 == log2
         assert tree_signature(root1) == tree_signature(root2)
+
+    def test_policy_scoring_no_child_rejected(self):
+        # A NaN score is never the best, so without a check the tie list
+        # stays empty and the tie-break draws from an empty range.
+        root = _stats_root([(5, 2.0), (5, 2.0)])
+        root.visits = 10
+        with pytest.raises(ValueError, match="above -inf"):
+            select(root, lambda q, n_parent, n_child: math.nan, random.Random(59))
 
     def test_descent_stops_at_expandable_node(self):
         env = FunctionEnv("f1")

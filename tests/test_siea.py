@@ -160,7 +160,7 @@ class TestEvaluateIndividual:
 
     def test_base_tree_untouched(self):
         env = FunctionEnv("f1")
-        base, _ = run_search(env, lambda ctx: ctx.q, 50, random.Random(86))
+        base, _ = run_search(env, lambda q, n_parent, n_child: q, 50, random.Random(86))
         before = tree_signature(base)
         evaluate_individual(uct_seed(1.0), base, env, 30, random.Random(87))
         assert tree_signature(base) == before
