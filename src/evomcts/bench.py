@@ -126,7 +126,8 @@ def eval_raw(function_id: str, x):
     if fn is None:
         raise ValueError(f"unknown function {function_id!r}")
     arr = np.asarray(x, dtype=float)
-    if np.any(arr < 0.0) or np.any(arr > 1.0):
+    # Written so that NaN, which fails every comparison, is rejected too.
+    if not np.all((arr >= 0.0) & (arr <= 1.0)):
         raise ValueError("x outside [0, 1]")
     return fn(arr)
 
@@ -140,7 +141,7 @@ def eval_function(function_id: str, x):
         fn = _SCALAR.get(function_id)
         if fn is None:
             raise ValueError(f"unknown function {function_id!r}")
-        if x < 0.0 or x > 1.0:
+        if not 0.0 <= x <= 1.0:
             raise ValueError("x outside [0, 1]")
         return min(max(float(fn(x)), 0.0), 1.0)
     y = np.clip(eval_raw(function_id, x), 0.0, 1.0)
@@ -182,10 +183,10 @@ class FunctionEnv:
     """Bisection environment over one benchmark function.
 
     Implements the search-engine contract: initial_state, actions,
-    apply, is_terminal, sample_reward, centre.  ``function`` is one of
-    the ids in FUNCTION_IDS or any callable mapping [0, 1] -> [0, 1].
-    With ``bernoulli=False`` (test stub) the reward is f(centre) itself
-    rather than a coin flip, and no randomness is consumed.
+    apply, is_terminal, playout, sample_reward, centre.  ``function`` is
+    one of the ids in FUNCTION_IDS or any callable mapping [0, 1] ->
+    [0, 1].  With ``bernoulli=False`` (test stub) the reward is f(centre)
+    itself rather than a coin flip, and no randomness is consumed.
 
     ``reward_draws`` counts every reward sample handed out, which is how
     the fixed simulation budgets are audited.
@@ -234,6 +235,26 @@ class FunctionEnv:
 
     def centre(self, state: IntervalState) -> float:
         return 0.5 * (state.a + state.b)
+
+    def playout(self, state: IntervalState, rng: random.Random) -> IntervalState:
+        """Uniform random walk from ``state`` to a terminal state.
+
+        One loop in place of ``is_terminal``/``actions``/``apply`` per
+        step, with ``apply``'s arithmetic and the same draw,
+        ``rng.randrange(branching)``, since ``actions`` is
+        ``range(branching)``.
+        """
+        a, b = state
+        threshold, branching = self.threshold, self.branching
+        last = branching - 1
+        randrange = rng.randrange
+        while not (b - a) < threshold:
+            step = (b - a) / branching
+            action = randrange(branching)
+            lo = a + action * step
+            b = b if action == last else lo + step
+            a = lo
+        return IntervalState(a, b)
 
     def probability(self, state: IntervalState) -> float:
         """Reward probability of a state: f evaluated at its centre."""

@@ -14,6 +14,7 @@ scheduling order or worker count.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -238,15 +239,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
                     "visit_bins": cfg.bins if cfg.visit_weighted else None,
                 }
                 if agent.kind == "siea":
-                    payload["ea"] = {
-                        "mu": cfg.ea.mu,
-                        "lambda_": cfg.ea.lambda_,
-                        "generations": cfg.ea.generations,
-                        "sims_per_eval": cfg.ea.sims_per_eval,
-                        "alpha": cfg.ea.alpha,
-                        "beta": cfg.ea.beta,
-                        "max_depth": cfg.ea.max_depth,
-                    }
+                    payload["ea"] = dataclasses.asdict(cfg.ea)
                 tasks.append(payload)
 
     started = time.monotonic()
@@ -364,74 +357,101 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-#: Keys a --config file may hold.
-_CONFIG_KEYS = (
-    "functions",
-    "agents",
-    "iterations",
-    "runs",
-    "bins",
-    "seed",
-    "ea_generations",
-    "ea_lambda",
-    "ea_sims",
-    "ea_alpha",
-    "ea_beta",
-    "out",
-    "workers",
-    "allow_any_c",
-    "visit_weighted",
+# JSON types a --config value may have: (description, check).
+_INT = ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool))
+_NUMBER = ("a number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool))
+_BOOL = ("true or false", lambda v: isinstance(v, bool))
+_STRING = ("a string", lambda v: isinstance(v, str))
+_NAMES = (
+    "a string or a list of strings",
+    lambda v: isinstance(v, str) or (isinstance(v, list) and all(isinstance(x, str) for x in v)),
 )
+
+#: Keys a --config file may hold, with the type of each value.
+_CONFIG_TYPES = {
+    "functions": _NAMES,
+    "agents": _NAMES,
+    "iterations": _INT,
+    "runs": _INT,
+    "bins": _INT,
+    "seed": _INT,
+    "ea_generations": _INT,
+    "ea_lambda": _INT,
+    "ea_sims": _INT,
+    "ea_alpha": _NUMBER,
+    "ea_beta": _NUMBER,
+    "out": _STRING,
+    "workers": _INT,
+    "allow_any_c": _BOOL,
+    "visit_weighted": _BOOL,
+}
+
+
+def _read_config_file(path: Path) -> dict:
+    with open(path) as fh:
+        values = json.load(fh)
+    if not isinstance(values, dict):
+        raise ValueError(f"{path} must hold a JSON object")
+    unknown = sorted(set(values) - set(_CONFIG_TYPES))
+    if unknown:
+        raise ValueError(
+            f"unknown key(s) {', '.join(unknown)} in {path}; "
+            f"accepted keys: {', '.join(_CONFIG_TYPES)}"
+        )
+    for key, value in values.items():
+        expected, check = _CONFIG_TYPES[key]
+        if not check(value):
+            raise ValueError(f"{key} in {path} must be {expected}, got {value!r}")
+    return values
 
 
 def _load_config(args: argparse.Namespace) -> ExperimentConfig:
-    file_values: dict = {}
-    if args.config is not None:
-        with open(args.config) as fh:
-            file_values = json.load(fh)
-        if not isinstance(file_values, dict):
-            raise ValueError(f"{args.config} must hold a JSON object")
-        unknown = sorted(set(file_values) - set(_CONFIG_KEYS))
-        if unknown:
-            raise ValueError(
-                f"unknown key(s) {', '.join(unknown)} in {args.config}; "
-                f"accepted keys: {', '.join(_CONFIG_KEYS)}"
-            )
+    """Merge a --config file and the flags (which win) into a config.
 
-    def pick(flag_value, key, default):
-        if flag_value is not None:
-            return flag_value
-        return file_values.get(key, default)
+    Only the keys that were given are passed on, so the dataclass
+    defaults of ExperimentConfig and EvolutionConfig are the only ones.
+    """
+    values = _read_config_file(args.config) if args.config is not None else {}
+    for key in _CONFIG_TYPES:
+        flag_value = getattr(args, key)
+        # The two store_true flags read False when absent.
+        if flag_value is not None and flag_value is not False:
+            values[key] = flag_value
+
+    def given(**fields) -> dict:
+        # Config key -> dataclass field, for the keys that were given.
+        return {name: values[key] for key, name in fields.items() if key in values}
 
     ea = EvolutionConfig(
-        generations=pick(args.ea_generations, "ea_generations", 20),
-        lambda_=pick(args.ea_lambda, "ea_lambda", 4),
-        sims_per_eval=pick(args.ea_sims, "ea_sims", 30),
-        alpha=pick(args.ea_alpha, "ea_alpha", 5.0),
-        beta=pick(args.ea_beta, "ea_beta", 10.0),
+        **given(
+            ea_generations="generations",
+            ea_lambda="lambda_",
+            ea_sims="sims_per_eval",
+            ea_alpha="alpha",
+            ea_beta="beta",
+        )
     )
-    functions = pick(args.functions, "functions", None)
-    if isinstance(functions, str):
-        functions = [f.strip() for f in functions.split(",") if f.strip()]
-    agents_raw = pick(args.agents, "agents", None)
-    allow_any_c = args.allow_any_c or bool(file_values.get("allow_any_c"))
-    if isinstance(agents_raw, list):
-        agents_raw = ",".join(agents_raw)
-    kwargs = {
-        "iterations": pick(args.iterations, "iterations", 5000),
-        "runs": pick(args.runs, "runs", 30),
-        "bins": pick(args.bins, "bins", 100),
-        "base_seed": pick(args.seed, "seed", 0),
-        "ea": ea,
-        "out_dir": Path(pick(args.out, "out", "results")),
-        "workers": pick(args.workers, "workers", 1),
-        "visit_weighted": args.visit_weighted or bool(file_values.get("visit_weighted")),
-    }
-    if functions is not None:
+    kwargs = given(
+        iterations="iterations",
+        runs="runs",
+        bins="bins",
+        seed="base_seed",
+        workers="workers",
+        visit_weighted="visit_weighted",
+    )
+    if "out" in values:
+        kwargs["out_dir"] = Path(values["out"])
+    if "functions" in values:
+        functions = values["functions"]
+        if isinstance(functions, str):
+            functions = [f.strip() for f in functions.split(",") if f.strip()]
         kwargs["functions"] = functions
-    if agents_raw is not None:
-        kwargs["agents"] = _parse_agents(agents_raw, allow_any_c)
-    return ExperimentConfig(**kwargs)
+    if "agents" in values:
+        agents = values["agents"]
+        if isinstance(agents, list):
+            agents = ",".join(agents)
+        kwargs["agents"] = _parse_agents(agents, values.get("allow_any_c", False))
+    return ExperimentConfig(ea=ea, **kwargs)
 
 
 def main(argv=None) -> int:

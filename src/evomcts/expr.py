@@ -15,9 +15,17 @@ with exploration constant sqrt(2)::
 and :func:`parse` / ``str()`` round-trip exactly (constants are printed
 with ``repr`` so no precision is lost).
 
-:func:`evaluate` interprets a tree node by node and is the reference;
-:func:`compile_expression` turns a tree into one Python function with
-bit-identical results, for callers that score the same tree many times.
+:func:`evaluate` interprets a tree node by node and is the reference.
+Two compilers turn a tree into Python source once, for callers that
+score it many times, with bit-identical results: every operator is
+written inline (protected division as ``1.0 if abs(b) < 0.001 else
+a / b``, protected log as ``0.0 if ax < 0.001 else log(ax)``, saturation
+as a conditional at +-1e300), with no helper calls.
+:func:`compile_expression` builds ``score(q, n_parent, n_child)`` for one
+child; :func:`compile_chooser` builds ``best_children(n_parent,
+children)`` for all children of one search node, which computes the
+subtrees that read only ``Np`` and constants once per node, before its
+child loop.
 """
 
 from __future__ import annotations
@@ -40,6 +48,7 @@ __all__ = [
     "protected_sqrt",
     "evaluate",
     "compile_expression",
+    "compile_chooser",
     "uct_seed",
     "random_subtree",
     "mutate",
@@ -222,37 +231,63 @@ def evaluate(expression: Expression, ctx: NodeContext) -> float:
     return expression.root._eval(ctx.q, ctx.n_parent, ctx.n_child)
 
 
-_VAR_CODE = {"Q": "q", "Np": "n_parent", "Nc": "n_child"}
+# Compiled formulas write every operator inline, as the statements below
+# (``{r}`` the result, ``{a}``/``{b}`` the operands), with each comparison
+# in the direction and order the interpreter makes it, so NaN and -0.0
+# take the same branches as in protected_div, protected_log and _saturate.
+# Saturation is one conditional expression rather than an if/elif
+# statement: the same tests, but cheaper to compile, and a search
+# compiles a formula for every offspring it evaluates.
+_SATURATE = (
+    f"{{r}} = {_MAX_ABS!r} if {{r}} > {_MAX_ABS!r} "
+    f"else {-_MAX_ABS!r} if {{r}} < {-_MAX_ABS!r} else {{r}}"
+)
 _OP_CODE = {
-    "add": "_saturate({} + {})",
-    "sub": "_saturate({} - {})",
-    "mul": "_saturate({} * {})",
-    "div": "_saturate(protected_div({}, {}))",
-    "log": "protected_log({})",
-    "sqrt": "protected_sqrt({})",
+    "add": ("{r} = {a} + {b}", _SATURATE),
+    "sub": ("{r} = {a} - {b}", _SATURATE),
+    "mul": ("{r} = {a} * {b}", _SATURATE),
+    "div": (f"{{r}} = 1.0 if abs({{b}}) < {_PROTECT_EPS!r} else {{a}} / {{b}}", _SATURATE),
+    "log": ("{r} = abs({a})", f"{{r}} = 0.0 if {{r}} < {_PROTECT_EPS!r} else log({{r}})"),
+    "sqrt": ("{r} = sqrt(abs({a}))",),
 }
-_COMPILED_GLOBALS = {
-    "_saturate": _saturate,
-    "protected_div": protected_div,
-    "protected_log": protected_log,
-    "protected_sqrt": protected_sqrt,
-}
+_VAR_CODE = {"Q": ("q", True), "Np": ("n_parent", False), "Nc": ("n_child", True)}
+_COMPILED_GLOBALS = {"log": math.log, "sqrt": math.sqrt, "_NEG_INF": -math.inf}
 
 
-def _emit(node, lines: list) -> str:
-    # Returns the operand naming this node's value; each operator node
-    # becomes one assignment, so no tree is too deep for the compiler.
+def _emit(node, per_node: list, per_child: list) -> tuple:
+    # Returns ``(operand, varies)``: the operand naming this node's value
+    # and whether it reads Q or Nc.  Operators whose subtree reads only Np
+    # and constants go to ``per_node``, the rest to ``per_child``; each
+    # operator writes a fresh name, so no tree is too deep for the compiler.
     kind = type(node)
     if kind is Const:
-        return repr(node.value)
+        return repr(node.value), False
     if kind is Var:
         return _VAR_CODE[node.name]
     operands = []
+    varies = False
     for child in node.args:
-        operands.append(_emit(child, lines))
-    name = f"t{len(lines)}"
-    lines.append(f"    {name} = {_OP_CODE[node.op].format(*operands)}")
-    return name
+        operand, child_varies = _emit(child, per_node, per_child)
+        operands.append(operand)
+        varies = varies or child_varies
+    name = f"t{len(per_node) + len(per_child)}"
+    code = _OP_CODE[node.op]
+    b = operands[1] if len(operands) == 2 else None
+    (per_child if varies else per_node).append(
+        [line.format(r=name, a=operands[0], b=b) for line in code]
+    )
+    return name, varies
+
+
+def _build(source: str, name: str):
+    namespace = dict(_COMPILED_GLOBALS)
+    exec(compile(source, "<compiled expression>", "exec"), namespace)
+    return namespace[name]
+
+
+def _indent(blocks: list, depth: int) -> list:
+    pad = "    " * depth
+    return [pad + line for block in blocks for line in block]
 
 
 def compile_expression(expression: Expression):
@@ -261,23 +296,58 @@ def compile_expression(expression: Expression):
     The function returns exactly ``evaluate(expression, NodeContext(q,
     n_parent, n_child))``: constants are written with ``repr`` (exact for
     the finite floats ``Const`` admits), Np and Nc are converted with
-    ``float()`` as ``Var`` does, and each operator calls the same
-    protected operator and saturation helper as the interpreter.
+    ``float()`` as ``Var`` does, and each operator is written inline with
+    the protected operators' and the saturation's arithmetic and
+    comparisons.
     """
-    lines: list = []
-    result = _emit(expression.root, lines)
+    per_node: list = []
+    per_child: list = []
+    result, _ = _emit(expression.root, per_node, per_child)
     source = "\n".join(
         [
             "def score(q, n_parent, n_child):",
             "    n_parent = float(n_parent)",
             "    n_child = float(n_child)",
-            *lines,
+            *_indent(per_node + per_child, 1),
             f"    return {result}",
         ]
     )
-    namespace = dict(_COMPILED_GLOBALS)
-    exec(compile(source, "<compiled expression>", "exec"), namespace)
-    return namespace["score"]
+    return _build(source, "score")
+
+
+def compile_chooser(expression: Expression):
+    """Build ``best_children(n_parent, children) -> list`` from the tree.
+
+    Scores each child ``c`` as ``compile_expression(expression)(
+    c.total_reward / c.visits, n_parent, c.visits)`` would, bit for bit,
+    and returns the children tied at the top score in creation order, or
+    an empty list when none scores above -inf.  The operators whose
+    subtree reads only Np and constants run once, before the child loop.
+    """
+    per_node: list = []
+    per_child: list = []
+    result, _ = _emit(expression.root, per_node, per_child)
+    source = "\n".join(
+        [
+            "def best_children(n_parent, children):",
+            "    n_parent = float(n_parent)",
+            *_indent(per_node, 1),
+            "    best = _NEG_INF",
+            "    ties = []",
+            "    for child in children:",
+            "        n_child = child.visits",
+            "        q = child.total_reward / n_child",
+            "        n_child = float(n_child)",
+            *_indent(per_child, 2),
+            f"        if {result} > best:",
+            f"            best = {result}",
+            "            ties = [child]",
+            f"        elif {result} == best:",
+            "            ties.append(child)",
+            "    return ties if best != _NEG_INF else []",
+        ]
+    )
+    return _build(source, "best_children")
 
 
 def uct_seed(c: float) -> Expression:

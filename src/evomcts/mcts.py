@@ -2,13 +2,22 @@
 
 The engine is generic over an environment object providing
 ``initial_state() / actions(s) / apply(s, a) / is_terminal(s) /
-sample_reward(s, rng) / centre(s)``.  A selection policy is any callable
-``policy(q, n_parent, n_child) -> float`` scoring one visited child from
-its mean reward ``q``, its parent's visit count and its own visit count
-(both ints >= 1, the fields of :class:`~evomcts.expr.NodeContext`); the
-highest score wins, and a policy must give at least one child a score
-above -inf.  Two policies are provided: closed-form UCB1 with a fixed
-exploration constant, and an expression tree compiled once per policy.
+playout(s, rng) / sample_reward(s, rng) / centre(s)``; ``playout``
+walks uniformly at random from ``s`` to a terminal state and returns it.
+
+A selection policy is any callable ``policy(q, n_parent, n_child) ->
+float`` scoring one visited child from its mean reward ``q``, its
+parent's visit count and its own visit count (both ints >= 1, the fields
+of :class:`~evomcts.expr.NodeContext`); the highest score wins, and a
+policy must give at least one child a score above -inf.  A policy may
+also provide ``best_children(n_parent, children) -> list``, which scores
+all children of one node at once and returns those tied at the top
+score in creation order (the same ``>`` and ``==`` comparisons as
+scoring them one by one), or an empty list when no child scores above
+-inf; ``select`` then asks it once per node instead of calling the
+policy once per child.  Two policies are provided: closed-form UCB1
+with a fixed exploration constant, and an expression tree compiled into
+a per-node chooser.
 
 RNG protocol (all determinism and the trace tests rest on this): the
 engine draws from a single ``random.Random`` stream, always via
@@ -16,15 +25,16 @@ engine draws from a single ``random.Random`` stream, always via
 floats.  Score ties during selection consult the RNG only when at least
 two children are tied at the maximum (children enumerated in creation
 order); expansion pops a uniformly random untried action; a rollout
-draws one ``randrange(len(actions))`` per step.
+(``env.playout``) draws one ``randrange(branching)`` per step.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 
-from .expr import Expression, compile_expression
+from .expr import Expression, compile_chooser, compile_expression
 
 # Not called here since policies compile their expression, but kept in this
 # namespace: perfbench/tracing.py wraps ``mcts.evaluate`` by that name.
@@ -100,20 +110,50 @@ class UctPolicy:
     def __call__(self, q: float, n_parent: int, n_child: int) -> float:
         return q + self.c * math.sqrt(2.0 * math.log(n_parent) / n_child)
 
+    def best_children(self, n_parent: int, children: list) -> list:
+        """The children tied at the top ``__call__`` score, bit for bit.
+
+        ``2.0 * log(n_parent) / n_child`` evaluates left to right, so
+        hoisting ``2.0 * log(n_parent)`` out of the child loop leaves
+        every score unchanged.
+        """
+        c = self.c
+        k = 2.0 * math.log(n_parent)
+        sqrt = math.sqrt
+        best = -math.inf
+        ties: list = []
+        for child in children:
+            n = child.visits
+            score = child.total_reward / n + c * sqrt(k / n)
+            if score > best:
+                best = score
+                ties = [child]
+            elif score == best:
+                ties.append(child)
+        return ties if best != -math.inf else []
+
     def __repr__(self):
         return f"UctPolicy(c={self.c!r})"
 
 
 class ExpressionPolicy:
-    """Score children with an expression tree, compiled once here."""
+    """Score children with an expression tree.
+
+    The per-node chooser ``best_children`` is compiled here; the
+    one-child scorer behind ``__call__`` only on its first call, since a
+    search never needs it.
+    """
 
     def __init__(self, expression: Expression):
         self.expression = expression
-        self._score = compile_expression(expression)
+        self.best_children = compile_chooser(expression)
+        self._score = None
 
     # A method rather than ``self.__call__ = self._score``: perfbench/tracing.py
     # counts policy calls by wrapping ExpressionPolicy.__call__ on the class.
     def __call__(self, q: float, n_parent: int, n_child: int) -> float:
+        if self._score is None:
+            self._score = compile_expression(self.expression)
         return self._score(q, n_parent, n_child)
 
     def __repr__(self):
@@ -127,6 +167,20 @@ def create_root(env) -> SearchNode:
     return SearchNode(state, untried=untried)
 
 
+def _best_children(policy, n_parent: int, children: list) -> list:
+    # The chooser for a policy without ``best_children``: one call per child.
+    best_score = -math.inf
+    ties: list = []
+    for child in children:
+        score = policy(child.total_reward / child.visits, n_parent, child.visits)
+        if score > best_score:
+            best_score = score
+            ties = [child]
+        elif score == best_score:
+            ties.append(child)
+    return ties if best_score != -math.inf else []
+
+
 def select(root: SearchNode, policy, rng: random.Random) -> SearchNode:
     """Descend by policy score until an expandable or terminal node.
 
@@ -135,19 +189,13 @@ def select(root: SearchNode, policy, rng: random.Random) -> SearchNode:
     Raises ValueError when the policy scores no child above -inf (for
     instance when it returns NaN).
     """
+    choose = getattr(policy, "best_children", None)
+    if choose is None:
+        choose = functools.partial(_best_children, policy)
     node = root
     while not node.untried and node.children:
-        n_parent = node.visits
-        best_score = -math.inf
-        ties: list = []
-        for child in node.children:
-            score = policy(child.total_reward / child.visits, n_parent, child.visits)
-            if score > best_score:
-                best_score = score
-                ties = [child]
-            elif score == best_score:
-                ties.append(child)
-        if best_score == -math.inf:
+        ties = choose(node.visits, node.children)
+        if not ties:
             raise ValueError(f"policy {policy!r} scored no child above -inf")
         node = ties[0] if len(ties) == 1 else ties[rng.randrange(len(ties))]
     return node
@@ -171,13 +219,7 @@ def rollout(node: SearchNode, env, rng: random.Random) -> float:
     Starting at a terminal node the playout has length zero and the
     reward is sampled immediately.
     """
-    state = node.state
-    is_terminal, actions_of, apply = env.is_terminal, env.actions, env.apply
-    randrange = rng.randrange
-    while not is_terminal(state):
-        actions = actions_of(state)
-        state = apply(state, actions[randrange(len(actions))])
-    return env.sample_reward(state, rng)
+    return env.sample_reward(env.playout(node.state, rng), rng)
 
 
 def backpropagate(node: SearchNode, reward: float) -> None:

@@ -108,6 +108,18 @@ class TestFunctionValues:
         with pytest.raises(ValueError):
             eval_function("f6", 0.5)
 
+    def test_nan_rejected_on_scalar_path(self):
+        # NaN fails both x < 0 and x > 1, so a check written that way
+        # let it through and f1 returned nan.
+        with pytest.raises(ValueError, match="outside"):
+            eval_function("f1", math.nan)
+
+    def test_nan_rejected_on_array_path(self):
+        with pytest.raises(ValueError, match="outside"):
+            eval_raw("f1", np.array([0.5, math.nan]))
+        with pytest.raises(ValueError, match="outside"):
+            eval_function("f4", np.array([math.nan]))
+
 
 # sha256 over struct.pack("<d", p) of the reward probability at each of
 # the 2^17 depth-17 leaves, left to right, computed through numpy's scalar
@@ -259,3 +271,41 @@ class TestFunctionEnv:
             state = env.apply(state, 0)
             depth += 1
         assert depth == 3
+
+
+def _stepwise_playout(env, state, rng):
+    """The rollout loop the engine ran before ``FunctionEnv.playout``."""
+    while not env.is_terminal(state):
+        actions = env.actions(state)
+        state = env.apply(state, actions[rng.randrange(len(actions))])
+    return state
+
+
+class TestPlayout:
+    @pytest.mark.parametrize("branching", [2, 3, 5])
+    @pytest.mark.parametrize("threshold", [DEFAULT_THRESHOLD, 1e-3, 0.05, 0.34, 2.0])
+    def test_matches_stepwise_loop(self, branching, threshold):
+        # Branching 3 and 5 make the interval arithmetic non-dyadic, so a
+        # reordering of apply's operations would show in the last bit.
+        env = FunctionEnv("f1", branching=branching, threshold=threshold)
+        for seed in range(40):
+            # Start at depth 0 to 3: low bits of a rounding difference
+            # survive only while the interval's left end is small.
+            start = env.initial_state()
+            rng_walk = random.Random(-seed)
+            for _ in range(seed % 4):
+                if not env.is_terminal(start):
+                    start = env.apply(start, rng_walk.randrange(branching))
+            want_rng, got_rng = random.Random(seed), random.Random(seed)
+            want = _stepwise_playout(env, start, want_rng)
+            got = env.playout(start, got_rng)
+            assert type(got) is IntervalState
+            assert struct.pack("<2d", *got) == struct.pack("<2d", *want)
+            assert got_rng.getstate() == want_rng.getstate()
+
+    def test_terminal_start_draws_nothing(self):
+        env = FunctionEnv("f1", threshold=2.0)
+        rng = random.Random(72)
+        before = rng.getstate()
+        assert env.playout(env.initial_state(), rng) == env.initial_state()
+        assert rng.getstate() == before

@@ -14,6 +14,8 @@ from evomcts.cli import (
     CANONICAL_C,
     AgentSpec,
     ExperimentConfig,
+    _build_parser,
+    _load_config,
     _parse_agents,
     derive_run_seed,
     main,
@@ -275,6 +277,45 @@ class TestMain:
         assert "unknown key(s) iteration" in err
         assert "accepted keys: functions, agents, iterations," in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("iterations", "10"),
+            ("runs", True),
+            ("seed", 1.5),
+            ("ea_alpha", "5"),
+            ("ea_beta", False),
+            ("allow_any_c", "false"),
+            ("visit_weighted", 1),
+            ("functions", ["f1", 2]),
+            ("agents", {"uct": 1}),
+            ("out", 3),
+        ],
+    )
+    def test_mistyped_config_value_exits_2(self, tmp_path, capsys, key, value):
+        # "10" used to end in a TypeError traceback and "false" was read
+        # as true through bool().
+        config = {"functions": "f1", "agents": "uct:1", "runs": 1, "iterations": 20}
+        config[key] = value
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        code = main(["--config", str(cfg_path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert f"{key} in {cfg_path} must be" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_defaults_come_from_the_dataclasses(self):
+        assert _load_config(_build_parser().parse_args([])) == ExperimentConfig()
+
+    def test_config_file_flags_and_numbers(self, tmp_path):
+        config = {"allow_any_c": True, "agents": ["uct:0.7"], "ea_alpha": 1, "visit_weighted": True}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        cfg = _load_config(_build_parser().parse_args(["--config", str(cfg_path)]))
+        assert cfg.agents == [AgentSpec("uct", 0.7)]
+        assert cfg.ea == EvolutionConfig(alpha=1)
+        assert cfg.visit_weighted
 
     def test_missing_config_file_exits_2(self, tmp_path):
         code = main(["--config", str(tmp_path / "nope.json")])

@@ -4,6 +4,7 @@ selection rule, random growth, subtree mutation, and serialisation."""
 import math
 import random
 import struct
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from evomcts.expr import (
     K_VALUES,
     NodeContext,
     Var,
+    compile_chooser,
     compile_expression,
     evaluate,
     mutate,
@@ -368,6 +370,33 @@ _trees = st.recursive(
 _finite = st.floats(min_value=-1e308, max_value=1e308, allow_nan=False)
 
 
+@st.composite
+def _children(draw):
+    """Search-node stand-ins drawn from a small pool of statistics, so
+    that several children often share them and tie exactly."""
+    pool = draw(
+        st.lists(
+            st.tuples(st.integers(min_value=1, max_value=10**9), _finite),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=8))
+    return [SimpleNamespace(visits=pool[i][0], total_reward=pool[i][1]) for i in picks]
+
+
+def _reference_ties(expression, n_parent, children):
+    best, ties = -math.inf, []
+    for child in children:
+        ctx = NodeContext(child.total_reward / child.visits, n_parent, child.visits)
+        score = evaluate(expression, ctx)
+        if score > best:
+            best, ties = score, [child]
+        elif score == best:
+            ties.append(child)
+    return ties if best != -math.inf else []
+
+
 class TestTotalisation:
     @given(root=_trees, q=_finite, n_parent=_finite, n_child=_finite)
     @settings(max_examples=300)
@@ -393,6 +422,51 @@ class TestTotalisation:
         want = evaluate(e, NodeContext(q, n_parent, n_child))
         got = compile_expression(e)(q, n_parent, n_child)
         assert struct.pack("<d", got) == struct.pack("<d", want)
+
+    @given(
+        root=_trees,
+        n_parent=st.one_of(st.integers(min_value=1, max_value=10**9), _finite),
+        children=_children(),
+    )
+    @settings(max_examples=300)
+    def test_chooser_matches_interpreter_ties(self, root, n_parent, children):
+        e = Expression(root)
+        want = _reference_ties(e, n_parent, children)
+        got = compile_chooser(e)(n_parent, children)
+        assert [id(c) for c in got] == [id(c) for c in want]
+
+    @pytest.mark.parametrize("op", ["add", "sub", "mul", "div", "log", "sqrt"])
+    def test_compiled_matches_interpreter_on_edges(self, op):
+        # The protection thresholds, the saturation bounds, signed zeros
+        # and non-finite inputs: each inline comparison must take the
+        # interpreter's branch exactly there.
+        edges = [0.001, -0.001, 0.0009999999999999998, 0.0, -0.0, 1e300, -1e300]
+        edges += [1.0000000000000002e300, 1e308, -1e308, math.inf, -math.inf, math.nan]
+        arity = 1 if op in ("log", "sqrt") else 2
+        e = Expression(Func(op, (Var("Q"), Var("Nc"))[:arity]))
+        score = compile_expression(e)
+        for q in edges:
+            for n_child in edges:
+                want = evaluate(e, NodeContext(q, 3, n_child))
+                got = score(q, 3, n_child)
+                assert struct.pack("<d", got) == struct.pack("<d", want), (q, n_child)
+        # In the chooser: the operator once per child, and once per node.
+        children = [SimpleNamespace(visits=1, total_reward=q) for q in edges]
+        per_node = Func(op, (Var("Np"), Var("Np"))[:arity])
+        for root in (Func(op, (Var("Q"), Var("Np"))[:arity]), Func("sub", (per_node, Var("Q")))):
+            choose = compile_chooser(Expression(root))
+            for n_parent in edges:
+                want = _reference_ties(Expression(root), n_parent, children)
+                got = choose(n_parent, children)
+                assert [id(c) for c in got] == [id(c) for c in want], n_parent
+
+    def test_chooser_on_deep_tree(self):
+        node = Var("Nc")
+        for _ in range(300):
+            node = Func("add", (node, Const(0.5)))
+        children = [SimpleNamespace(visits=v, total_reward=0.0) for v in (3, 1, 3)]
+        got = compile_chooser(Expression(node))(7, children)
+        assert got == [children[0], children[2]]
 
     def test_compiled_tree_deeper_than_parser_nesting(self):
         # One statement per node: a 300-deep chain would exceed the

@@ -8,9 +8,10 @@ import pytest
 
 from conftest import closed_form_uct, tree_signature
 from evomcts.bench import FunctionEnv, IntervalState, eval_function
-from evomcts.expr import K_VALUES, uct_seed
+from evomcts.expr import K_VALUES, parse, uct_seed
 from evomcts.mcts import (
     ExpressionPolicy,
+    _best_children,
     SearchNode,
     UctPolicy,
     backpropagate,
@@ -63,6 +64,54 @@ class TestPolicies:
                 n_child = rng.randrange(1, n_parent + 1)
                 stats = (rng.random(), n_parent, n_child)
                 assert abs(tree_policy(*stats) - closed(*stats)) <= 1e-9
+
+    def test_uct_best_children_matches_generic_loop(self):
+        # Equal statistics give exact ties; the hoisted 2*log(n_parent)
+        # must leave every score, and so every tie list, unchanged.
+        rng = random.Random(60)
+        for c in (*K_VALUES, 0.7, 1e-3):
+            policy = UctPolicy(c)
+            for _ in range(300):
+                pool = [(rng.randrange(1, 50), rng.randrange(0, 50) * 0.5) for _ in range(3)]
+                stats = [pool[rng.randrange(len(pool))] for _ in range(rng.randrange(1, 7))]
+                root = _stats_root([(v, min(t, float(v))) for v, t in stats])
+                want = _best_children(policy, root.visits, root.children)
+                got = policy.best_children(root.visits, root.children)
+                assert [id(n) for n in got] == [id(n) for n in want]
+                assert want
+
+    def test_uct_best_children_keeps_ties_between_different_statistics(self):
+        # Children with different visit counts whose __call__ scores tie
+        # exactly: a score that differs in the last bit breaks the tie.
+        rng = random.Random(61)
+        found = 0
+        for c in K_VALUES:
+            policy = UctPolicy(c)
+            for _ in range(200):
+                n_a, n_b = rng.randrange(1, 40), rng.randrange(1, 40)
+                n_parent = n_a + n_b + rng.randrange(0, 200)
+                total_a = rng.randrange(0, n_a + 1) * 1.0
+                target = policy(total_a / n_a, n_parent, n_a)
+                total_b = (target - policy(0.0, n_parent, n_b)) * n_b
+                for _ in range(8):
+                    score = policy(total_b / n_b, n_parent, n_b)
+                    if score == target:
+                        break
+                    total_b = math.nextafter(total_b, math.inf if score < target else -math.inf)
+                if score != target or n_a == n_b:
+                    continue
+                found += 1
+                root = _stats_root([(n_a, total_a), (n_b, total_b)])
+                root.visits = n_parent
+                want = _best_children(policy, n_parent, root.children)
+                assert want == root.children
+                assert policy.best_children(n_parent, root.children) == want
+        assert found >= 200
+
+    def test_expression_policy_scores_lazily_compiled(self):
+        policy = ExpressionPolicy(uct_seed(1.0))
+        assert policy._score is None
+        assert policy(0.5, 10, 5) == closed_form_uct(0.5, 10, 5, 1.0)
 
 
 class TestSelect:
@@ -128,6 +177,24 @@ class TestSelect:
         root.visits = 10
         with pytest.raises(ValueError, match="above -inf"):
             select(root, lambda q, n_parent, n_child: math.nan, random.Random(59))
+
+    @pytest.mark.parametrize(
+        "policy, total",
+        [
+            # A NaN mean reward makes every score of Q + bonus NaN.
+            (ExpressionPolicy(uct_seed(1.0)), math.nan),
+            # Scores of exactly -inf tie with the starting best; they
+            # must still count as no child above -inf.
+            (ExpressionPolicy(parse("Q")), -math.inf),
+            (UctPolicy(1.0), -math.inf),
+            (lambda q, n_parent, n_child: -math.inf, 2.0),
+        ],
+    )
+    def test_no_child_above_minus_inf_rejected(self, policy, total):
+        root = _stats_root([(5, total), (5, total)])
+        root.visits = 10
+        with pytest.raises(ValueError, match="above -inf"):
+            select(root, policy, random.Random(59))
 
     def test_descent_stops_at_expandable_node(self):
         env = FunctionEnv("f1")
