@@ -251,9 +251,9 @@ class FunctionEnv:
         while not (b - a) < threshold:
             step = (b - a) / branching
             action = randrange(branching)
-            lo = a + action * step
-            b = b if action == last else lo + step
-            a = lo
+            a = a + action * step
+            if action != last:
+                b = a + step
         return IntervalState(a, b)
 
     def probability(self, state: IntervalState) -> float:
