@@ -43,13 +43,18 @@ class HistogramReport:
     """Per-tertile expansion counts, averaged over ``runs`` runs."""
 
     bins: int
-    edges: np.ndarray
     tertile_counts: np.ndarray
     runs: int
     config_id: str
 
+    @property
+    def edges(self) -> np.ndarray:
+        """The ``bins + 1`` equal-width bin edges over [0, 1]."""
+        return np.linspace(0.0, 1.0, self.bins + 1)
+
     def midpoints(self) -> np.ndarray:
-        return 0.5 * (self.edges[:-1] + self.edges[1:])
+        edges = self.edges
+        return 0.5 * (edges[:-1] + edges[1:])
 
 
 def tertile_split(log: list, total_iterations: int):
@@ -95,13 +100,7 @@ def run_report(log: list, total_iterations: int, bins: int, config_id: str) -> H
     """Histogram report of a single run (runs = 1)."""
     parts = tertile_split(log, total_iterations)
     counts = np.stack([bin_centres(p, bins) for p in parts]).astype(float)
-    return HistogramReport(
-        bins=bins,
-        edges=np.linspace(0.0, 1.0, bins + 1),
-        tertile_counts=counts,
-        runs=1,
-        config_id=config_id,
-    )
+    return HistogramReport(bins=bins, tertile_counts=counts, runs=1, config_id=config_id)
 
 
 def aggregate(reports: list) -> HistogramReport:
@@ -110,17 +109,12 @@ def aggregate(reports: list) -> HistogramReport:
         raise ValueError("no reports to aggregate")
     head = reports[0]
     for r in reports[1:]:
-        if (
-            r.bins != head.bins
-            or r.config_id != head.config_id
-            or not np.array_equal(r.edges, head.edges)
-        ):
+        if r.bins != head.bins or r.config_id != head.config_id:
             raise ValueError("reports have mismatched bin configuration")
     total_runs = sum(r.runs for r in reports)
     summed = sum(r.tertile_counts * r.runs for r in reports)
     return HistogramReport(
         bins=head.bins,
-        edges=head.edges.copy(),
         tertile_counts=summed / total_runs,
         runs=total_runs,
         config_id=head.config_id,
@@ -210,6 +204,7 @@ _CSV_FIELDS = (
 def write_csv(report: HistogramReport, path, meta: dict) -> None:
     """One row per (tertile, bin); ``meta`` supplies the run columns
     (function, policy, c_or_evolved, run_seed)."""
+    edges = report.edges
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_CSV_FIELDS)
@@ -224,8 +219,8 @@ def write_csv(report: HistogramReport, path, meta: dict) -> None:
                         meta["run_seed"],
                         t,
                         i,
-                        repr(float(report.edges[i])),
-                        repr(float(report.edges[i + 1])),
+                        repr(float(edges[i])),
+                        repr(float(edges[i + 1])),
                         repr(float(report.tertile_counts[t, i])),
                     ]
                 )

@@ -39,9 +39,6 @@ __all__ = [
     "FUNCTION_IDS",
     "eval_function",
     "eval_raw",
-    "is_terminal",
-    "centre",
-    "children",
     "FunctionEnv",
     "DEFAULT_THRESHOLD",
     "DEFAULT_BRANCHING",
@@ -148,35 +145,6 @@ def eval_function(function_id: str, x):
     if np.ndim(y) == 0:
         return float(y)
     return y
-
-
-def is_terminal(state: IntervalState, threshold: float = DEFAULT_THRESHOLD) -> bool:
-    """True once the interval is narrower than the threshold."""
-    return (state.b - state.a) < threshold
-
-
-def centre(state: IntervalState) -> float:
-    """Interval midpoint; every reachable midpoint is an exact dyadic."""
-    return 0.5 * (state.a + state.b)
-
-
-def children(
-    state: IntervalState,
-    branching: int = DEFAULT_BRANCHING,
-    threshold: float = DEFAULT_THRESHOLD,
-) -> list:
-    """Split a non-terminal interval into ``branching`` equal parts."""
-    if is_terminal(state, threshold):
-        raise ValueError("cannot split a terminal interval")
-    a, b = state
-    step = (b - a) / branching
-    out = []
-    lo = a
-    for i in range(branching):
-        hi = b if i == branching - 1 else lo + step
-        out.append(IntervalState(lo, hi))
-        lo = hi
-    return out
 
 
 class FunctionEnv:

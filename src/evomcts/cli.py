@@ -14,6 +14,7 @@ scheduling order or worker count.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -100,6 +101,10 @@ class ExperimentConfig:
             raise ValueError("bins must be >= 1")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        if not self.functions:
+            raise ValueError("no functions given")
+        if not self.agents:
+            raise ValueError("no agents given")
         for f in self.functions:
             if f not in FUNCTION_IDS:
                 raise ValueError(f"unknown function {f!r}")
@@ -243,30 +248,28 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
                 tasks.append(payload)
 
     started = time.monotonic()
-    if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            results = list(pool.map(_execute_run, tasks))
-    else:
-        results = []
-        for k, payload in enumerate(tasks, 1):
-            results.append(_execute_run(payload))
+    per_config: dict = {}
+    visit_rows: dict = {}
+    # Both maps are lazy and yield in task order, so each run is written
+    # as soon as it and the runs before it are done.
+    pool = ProcessPoolExecutor(max_workers=cfg.workers) if cfg.workers > 1 else None
+    with pool or contextlib.nullcontext():
+        results = map(_execute_run, tasks) if pool is None else pool.map(_execute_run, tasks)
+        for k, (payload, result) in enumerate(zip(tasks, results), 1):
+            cid = payload["config_id"]
+            log_name = f"{cid}_run{payload['run_index']:03d}.jsonl"
+            _write_run_log(logs_dir / log_name, payload, result)
+            report = run_report(
+                [(i, x) for i, x in result["log"]], result["log_span"], cfg.bins, cid
+            )
+            per_config.setdefault(cid, []).append(report)
+            if "visit_counts" in result:
+                visit_rows.setdefault(cid, []).append(result["visit_counts"])
             print(
-                f"[{k}/{len(tasks)}] {payload['config_id']} run {payload['run_index']} "
+                f"[{k}/{len(tasks)}] {cid} run {payload['run_index']} "
                 f"({time.monotonic() - started:.1f}s elapsed)",
                 file=sys.stderr,
             )
-
-    per_config: dict = {}
-    visit_rows: dict = {}
-    for payload, result in zip(tasks, results):
-        cid = payload["config_id"]
-        _write_run_log(logs_dir / f"{cid}_run{payload['run_index']:03d}.jsonl", payload, result)
-        report = run_report(
-            [(i, x) for i, x in result["log"]], result["log_span"], cfg.bins, cid
-        )
-        per_config.setdefault(cid, []).append(report)
-        if "visit_counts" in result:
-            visit_rows.setdefault(cid, []).append(result["visit_counts"])
 
     reports: dict = {}
     for function in cfg.functions:
@@ -320,8 +323,6 @@ def _parse_agents(text: str, allow_any_c: bool) -> list:
             agents.append(AgentSpec("uct", c))
             continue
         raise ValueError(f"cannot parse agent {token!r} (expected uct:<c> or siea)")
-    if not agents:
-        raise ValueError("no agents given")
     return agents
 
 
@@ -333,17 +334,21 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", type=Path, help="JSON config file; flags override its values")
     parser.add_argument("--functions", help="comma list from f1..f5 (default: all)")
     parser.add_argument("--agents", help='comma list, e.g. "uct:0.5,uct:sqrt2,siea" (default: full grid)')
-    parser.add_argument("--iterations", type=int, help="search iterations per run (default 5000)")
-    parser.add_argument("--runs", type=int, help="independent runs per (function, agent) (default 30)")
-    parser.add_argument("--bins", type=int, help="histogram bins over [0,1] (default 100)")
-    parser.add_argument("--seed", type=int, help="base seed for per-run seed derivation (default 0)")
-    parser.add_argument("--ea-generations", type=int, help="evolution generations (default 20)")
-    parser.add_argument("--ea-lambda", type=int, help="offspring per generation (default 4)")
-    parser.add_argument("--ea-sims", type=int, help="search iterations per fitness evaluation (default 30)")
-    parser.add_argument("--ea-alpha", type=float, help="lower semantic-distance bound (default 5)")
-    parser.add_argument("--ea-beta", type=float, help="upper semantic-distance bound (default 10)")
-    parser.add_argument("--out", type=Path, help="output directory (default ./results)")
-    parser.add_argument("--workers", type=int, help="parallel worker processes (default 1)")
+    exp, ea = ExperimentConfig, EvolutionConfig
+    for flag, kind, text, default in (
+        ("--iterations", int, "search iterations per run", exp.iterations),
+        ("--runs", int, "independent runs per (function, agent)", exp.runs),
+        ("--bins", int, "histogram bins over [0,1]", exp.bins),
+        ("--seed", int, "base seed for per-run seed derivation", exp.base_seed),
+        ("--ea-generations", int, "evolution generations", ea.generations),
+        ("--ea-lambda", int, "offspring per generation", ea.lambda_),
+        ("--ea-sims", int, "search iterations per fitness evaluation", ea.sims_per_eval),
+        ("--ea-alpha", float, "lower semantic-distance bound", ea.alpha),
+        ("--ea-beta", float, "upper semantic-distance bound", ea.beta),
+        ("--out", Path, "output directory", exp.out_dir),
+        ("--workers", int, "parallel worker processes", exp.workers),
+    ):
+        parser.add_argument(flag, type=kind, help=f"{text} (default {default})")
     parser.add_argument(
         "--allow-any-c",
         action="store_true",

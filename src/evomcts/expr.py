@@ -16,16 +16,14 @@ and :func:`parse` / ``str()`` round-trip exactly (constants are printed
 with ``repr`` so no precision is lost).
 
 :func:`evaluate` interprets a tree node by node and is the reference.
-Two compilers turn a tree into Python source once, for callers that
-score it many times, with bit-identical results: every operator is
-written inline (protected division as ``1.0 if abs(b) < 0.001 else
-a / b``, protected log as ``0.0 if ax < 0.001 else log(ax)``, saturation
-as a conditional at +-1e300), with no helper calls.
-:func:`compile_expression` builds ``score(q, n_parent, n_child)`` for one
-child; :func:`compile_chooser` builds ``best_children(n_parent,
-children)`` for all children of one search node, which computes the
-subtrees that read only ``Np`` and constants once per node, before its
-child loop.
+:func:`compile_chooser` turns a tree into Python source once, for the
+search, which scores it many times: ``best_children(n_parent,
+children)`` scores all children of one search node with results
+bit-identical to :func:`evaluate`.  Every operator is written inline
+(protected division as ``1.0 if abs(b) < 0.001 else a / b``, protected
+log as ``0.0 if ax < 0.001 else log(ax)``, saturation as a conditional
+at +-1e300), with no helper calls, and the subtrees that read only
+``Np`` and constants are computed once per node, before the child loop.
 """
 
 from __future__ import annotations
@@ -47,7 +45,6 @@ __all__ = [
     "protected_log",
     "protected_sqrt",
     "evaluate",
-    "compile_expression",
     "compile_chooser",
     "uct_seed",
     "random_subtree",
@@ -123,7 +120,7 @@ class Const:
     value: float
 
     def __post_init__(self):
-        # Also keeps repr(value) a valid literal for compile_expression.
+        # Also keeps repr(value) a valid literal for compile_chooser.
         if not math.isfinite(self.value):
             raise ValueError(f"constant must be finite, got {self.value!r}")
 
@@ -279,50 +276,23 @@ def _emit(node, per_node: list, per_child: list) -> tuple:
     return name, varies
 
 
-def _build(source: str, name: str):
-    namespace = dict(_COMPILED_GLOBALS)
-    exec(compile(source, "<compiled expression>", "exec"), namespace)
-    return namespace[name]
-
-
 def _indent(blocks: list, depth: int) -> list:
     pad = "    " * depth
     return [pad + line for block in blocks for line in block]
 
 
-def compile_expression(expression: Expression):
-    """Build ``score(q, n_parent, n_child) -> float`` from the tree once.
-
-    The function returns exactly ``evaluate(expression, NodeContext(q,
-    n_parent, n_child))``: constants are written with ``repr`` (exact for
-    the finite floats ``Const`` admits), Np and Nc are converted with
-    ``float()`` as ``Var`` does, and each operator is written inline with
-    the protected operators' and the saturation's arithmetic and
-    comparisons.
-    """
-    per_node: list = []
-    per_child: list = []
-    result, _ = _emit(expression.root, per_node, per_child)
-    source = "\n".join(
-        [
-            "def score(q, n_parent, n_child):",
-            "    n_parent = float(n_parent)",
-            "    n_child = float(n_child)",
-            *_indent(per_node + per_child, 1),
-            f"    return {result}",
-        ]
-    )
-    return _build(source, "score")
-
-
 def compile_chooser(expression: Expression):
     """Build ``best_children(n_parent, children) -> list`` from the tree.
 
-    Scores each child ``c`` as ``compile_expression(expression)(
-    c.total_reward / c.visits, n_parent, c.visits)`` would, bit for bit,
+    Scores each child ``c`` as ``evaluate(expression, NodeContext(
+    c.total_reward / c.visits, n_parent, c.visits))`` does, bit for bit,
     and returns the children tied at the top score in creation order, or
-    an empty list when none scores above -inf.  The operators whose
-    subtree reads only Np and constants run once, before the child loop.
+    an empty list when none scores above -inf.  Constants are written
+    with ``repr`` (exact for the finite floats ``Const`` admits), Np and
+    Nc are converted with ``float()`` as ``Var`` does, and each operator
+    is written inline with the protected operators' and the saturation's
+    arithmetic and comparisons.  The operators whose subtree reads only
+    Np and constants run once, before the child loop.
     """
     per_node: list = []
     per_child: list = []
@@ -347,7 +317,9 @@ def compile_chooser(expression: Expression):
             "    return ties if best != _NEG_INF else []",
         ]
     )
-    return _build(source, "best_children")
+    namespace = dict(_COMPILED_GLOBALS)
+    exec(compile(source, "<compiled expression>", "exec"), namespace)
+    return namespace["best_children"]
 
 
 def uct_seed(c: float) -> Expression:

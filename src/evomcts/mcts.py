@@ -34,11 +34,7 @@ import functools
 import math
 import random
 
-from .expr import Expression, compile_chooser, compile_expression
-
-# Not called here since policies compile their expression, but kept in this
-# namespace: perfbench/tracing.py wraps ``mcts.evaluate`` by that name.
-from .expr import evaluate
+from .expr import Expression, NodeContext, compile_chooser, evaluate
 
 __all__ = [
     "SearchNode",
@@ -76,20 +72,6 @@ class SearchNode:
     @property
     def q(self) -> float:
         return self.total_reward / self.visits
-
-    def is_fully_expanded(self) -> bool:
-        return not self.untried
-
-    def clone(self) -> "SearchNode":
-        """Deep copy of this subtree (states are immutable and shared)."""
-        copy = SearchNode(self.state, parent=None, untried=self.untried)
-        copy.visits = self.visits
-        copy.total_reward = self.total_reward
-        for child in self.children:
-            child_copy = child.clone()
-            child_copy.parent = copy
-            copy.children.append(child_copy)
-        return copy
 
     def count_nodes(self) -> int:
         return 1 + sum(child.count_nodes() for child in self.children)
@@ -139,22 +121,17 @@ class UctPolicy:
 class ExpressionPolicy:
     """Score children with an expression tree.
 
-    The per-node chooser ``best_children`` is compiled here; the
-    one-child scorer behind ``__call__`` only on its first call, since a
-    search never needs it.
+    ``select`` asks the per-node chooser ``best_children``, compiled
+    here; ``__call__`` scores one child with the interpreter, which is
+    the reference the chooser reproduces bit for bit.
     """
 
     def __init__(self, expression: Expression):
         self.expression = expression
         self.best_children = compile_chooser(expression)
-        self._score = None
 
-    # A method rather than ``self.__call__ = self._score``: perfbench/tracing.py
-    # counts policy calls by wrapping ExpressionPolicy.__call__ on the class.
     def __call__(self, q: float, n_parent: int, n_child: int) -> float:
-        if self._score is None:
-            self._score = compile_expression(self.expression)
-        return self._score(q, n_parent, n_child)
+        return evaluate(self.expression, NodeContext(q, n_parent, n_child))
 
     def __repr__(self):
         return f"ExpressionPolicy({str(self.expression)!r})"

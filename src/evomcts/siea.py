@@ -24,7 +24,7 @@ import random
 from dataclasses import dataclass
 
 from .expr import DEFAULT_MAX_DEPTH, Expression, mutate, uct_seed
-from .mcts import ExpressionPolicy, SearchNode, create_root, run_iteration, run_search
+from .mcts import ExpressionPolicy, create_root, run_iteration, run_search
 
 __all__ = [
     "Individual",
@@ -55,7 +55,6 @@ class Individual:
 class EvolutionConfig:
     """Knobs of the evolutionary run (defaults are the reference setup)."""
 
-    mu: int = 1
     lambda_: int = 4
     generations: int = 20
     sims_per_eval: int = 30
@@ -64,8 +63,6 @@ class EvolutionConfig:
     max_depth: int = DEFAULT_MAX_DEPTH
 
     def __post_init__(self):
-        if self.mu != 1:
-            raise ValueError("only a single-parent (mu=1) strategy is supported")
         if self.lambda_ < 1:
             raise ValueError("lambda_ must be >= 1")
         if self.generations < 0:
@@ -97,23 +94,17 @@ def ssi(p: list, q: list, alpha: float, beta: float) -> bool:
     return alpha < ssd(p, q) < beta
 
 
-def evaluate_individual(
-    expression: Expression,
-    base_tree: SearchNode,
-    env,
-    sims: int,
-    rng: random.Random,
-) -> Individual:
+def evaluate_individual(expression: Expression, env, sims: int, rng: random.Random) -> Individual:
     """Score a formula by running ``sims`` search iterations with it.
 
-    Works on a deep copy of ``base_tree`` (which is left untouched) and
-    discards the copy afterwards; only the reward trace survives.
+    Works on a fresh root-only tree (building it draws no randomness)
+    and discards the tree afterwards; only the reward trace survives.
     Semantics entry i is the rollout reward of iteration i, fitness is
     their mean.
     """
     if sims < 1:
         raise ValueError("sims must be >= 1")
-    tree = base_tree.clone()
+    tree = create_root(env)
     policy = ExpressionPolicy(expression)
     semantics = []
     for _ in range(sims):
@@ -123,15 +114,25 @@ def evaluate_individual(
     return Individual(expression, sum(semantics) / sims, semantics)
 
 
-def _select_index(offspring, parent, alpha, beta, rng):
-    """Pick the next parent among offspring; returns (index, branch).
+def select_parent(
+    offspring: list,
+    parent: Individual,
+    alpha: float,
+    beta: float,
+    rng: random.Random,
+) -> tuple:
+    """Comma-selection step: pick the next parent among the offspring.
 
-    Branches: "unique_best" (single fitness maximum), "semantic" (among
-    tied maxima, the one whose distance to the parent exceeds alpha but
-    stays below beta, closest to alpha), "random" (tied maxima, no
-    semantically eligible candidate or no parent semantics to compare
-    against).  The RNG is consulted only on genuine ties.
+    Returns ``(index, branch)``; the index always points into the
+    offspring's max-fitness set.  Branches: "unique_best" (single
+    fitness maximum), "semantic" (among tied maxima, the one whose
+    distance to the parent exceeds alpha but stays below beta, closest
+    to alpha), "random" (tied maxima, no semantically eligible candidate
+    or no parent semantics to compare against).  The RNG is consulted
+    only on genuine ties.
     """
+    if not offspring:
+        raise ValueError("offspring must be non-empty")
     best_fitness = max(o.fitness for o in offspring)
     top = [i for i, o in enumerate(offspring) if o.fitness == best_fitness]
     if len(top) == 1:
@@ -150,43 +151,25 @@ def _select_index(offspring, parent, alpha, beta, rng):
     return top[rng.randrange(len(top))], "random"
 
 
-def select_parent(
-    offspring: list,
-    parent: Individual,
-    alpha: float,
-    beta: float,
-    rng: random.Random,
-) -> Individual:
-    """Comma-selection step; always returns a member of the offspring
-    max-fitness set (see ``_select_index`` for the tie-break ladder)."""
-    if not offspring:
-        raise ValueError("offspring must be non-empty")
-    index, _ = _select_index(offspring, parent, alpha, beta, rng)
-    return offspring[index]
-
-
 def evolve(env, config: EvolutionConfig, rng: random.Random):
     """Run the evolutionary loop; returns (best_individual, history).
 
-    Every offspring in every generation is evaluated against a deep copy
-    of the same fresh root-only tree, so fitness differences come from
-    the formulas alone.  Exactly ``config.eval_budget`` reward draws are
-    consumed.  ``history`` holds one JSON-ready record per generation:
-    parent, all offspring with fitness and distance-to-parent, the
-    selected index and which branch selected it.  Best-of-run is by
+    Every offspring in every generation is evaluated on its own fresh
+    root-only tree, so fitness differences come from the formulas alone.
+    Exactly ``config.eval_budget`` reward draws are consumed.
+    ``history`` holds one JSON-ready record per generation: parent, all
+    offspring with fitness and distance-to-parent, the selected index
+    and which branch selected it.  Best-of-run is by
     fitness with ties going to the most recently evaluated individual;
     with zero generations it is the initial UCB1 seed itself.
     """
-    base_tree = create_root(env)
     parent = Individual(uct_seed(math.sqrt(2.0)))
     best = parent
     history: list = []
     for generation in range(1, config.generations + 1):
         exprs = [mutate(parent.expression, rng, config.max_depth) for _ in range(config.lambda_)]
-        offspring = [
-            evaluate_individual(e, base_tree, env, config.sims_per_eval, rng) for e in exprs
-        ]
-        index, branch = _select_index(offspring, parent, config.alpha, config.beta, rng)
+        offspring = [evaluate_individual(e, env, config.sims_per_eval, rng) for e in exprs]
+        index, branch = select_parent(offspring, parent, config.alpha, config.beta, rng)
         for child in offspring:
             if best.fitness is None or child.fitness >= best.fitness:
                 best = child

@@ -28,7 +28,6 @@ from evomcts.mcts import UctPolicy, run_search
 from evomcts.siea import (
     EvolutionConfig,
     Individual,
-    _select_index,
     run_siea_search,
     select_parent,
     ssd,
@@ -392,24 +391,22 @@ class TestAcceptance:
 
         # Distinct fitness maximum: chosen without consulting the RNG.
         brood = [child(0.5, 0.4, None), child(1.0, 0.9, None), child(2.0, 0.6, None)]
-        idx, branch = _select_index(brood, parent, alpha, beta, random.Random(0))
-        unique_ok = branch == "unique_best" and idx == 1
-        unique_ok = unique_ok and select_parent(brood, parent, alpha, beta, random.Random(0)) is brood[1]
+        unique_ok = select_parent(brood, parent, alpha, beta, random.Random(0)) == (1, "unique_best")
 
         # Fitness tie: the tied child inside the band wins, preferring
         # the distance closest to alpha.
         near = child(0.5, 0.9, [0.24, 0.0, 0.0, 0.0])  # distance 0.06
         far = child(1.0, 0.9, [0.5, 0.0, 0.0, 0.0])  # distance 0.125
         below = child(2.0, 0.9, [0.02, 0.0, 0.0, 0.0])  # distance 0.005
-        idx, branch = _select_index([far, below, near], parent, alpha, beta, random.Random(0))
-        semantic_ok = branch == "semantic" and idx == 2
+        picked = select_parent([far, below, near], parent, alpha, beta, random.Random(0))
+        semantic_ok = picked == (2, "semantic")
 
         # Fitness tie with an empty band: uniform over the tied maxima.
         outside = [child(0.5, 0.9, [0.02, 0.0, 0.0, 0.0]), child(1.0, 0.9, [1.0, 1.0, 0.0, 0.0])]
         picks = set()
         branches = set()
         for seed in range(200):
-            idx, branch = _select_index(outside, parent, alpha, beta, random.Random(seed))
+            idx, branch = select_parent(outside, parent, alpha, beta, random.Random(seed))
             picks.add(idx)
             branches.add(branch)
         random_ok = branches == {"random"} and picks == {0, 1}

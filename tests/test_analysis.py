@@ -114,6 +114,11 @@ class TestRunReportAndAggregate:
         assert merged.runs == 2
         assert merged.tertile_counts[0, 1] == 5.0
 
+    def test_edges_after_aggregate(self):
+        reports = [run_report([(i, 0.3)], 30, 7, "cfg") for i in range(3)]
+        merged = aggregate([aggregate(reports[:2]), reports[2]])
+        assert np.array_equal(merged.edges, np.linspace(0.0, 1.0, 7 + 1))
+
     def test_aggregate_identity(self):
         r = run_report([(3, 0.42)], 30, 10, "cfg")
         merged = aggregate([r])

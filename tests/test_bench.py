@@ -19,11 +19,8 @@ from evomcts.bench import (
     FUNCTION_IDS,
     FunctionEnv,
     IntervalState,
-    centre,
-    children,
     eval_function,
     eval_raw,
-    is_terminal,
 )
 
 
@@ -143,20 +140,26 @@ def test_leaf_table_unchanged(fid):
     assert digest.hexdigest() == LEAF_TABLE_SHA256[fid]
 
 
+def _split(env, state):
+    return [env.apply(state, action) for action in env.actions(state)]
+
+
 class TestIntervalMechanics:
+    env = FunctionEnv("f1")
+
     def test_bisection_of_unit_interval(self):
-        kids = children(IntervalState(0.0, 1.0))
+        kids = _split(self.env, IntervalState(0.0, 1.0))
         assert kids == [IntervalState(0.0, 0.5), IntervalState(0.5, 1.0)]
 
     def test_bisection_of_half_interval(self):
-        kids = children(IntervalState(0.5, 1.0))
+        kids = _split(self.env, IntervalState(0.5, 1.0))
         assert kids == [IntervalState(0.5, 0.75), IntervalState(0.75, 1.0)]
 
     def test_children_partition_exactly(self):
         rng = random.Random(42)
         state = IntervalState(0.0, 1.0)
         for _ in range(16):
-            kids = children(state)
+            kids = _split(self.env, state)
             assert kids[0].a == state.a
             assert kids[-1].b == state.b
             assert kids[0].b == kids[1].a
@@ -166,54 +169,53 @@ class TestIntervalMechanics:
             state = kids[rng.randrange(2)]
 
     def test_terminal_threshold_boundaries(self):
-        assert not is_terminal(IntervalState(0.0, 1.0))
-        assert is_terminal(IntervalState(0.0, 2.0**-17))
-        assert not is_terminal(IntervalState(0.0, 2.0**-16))
+        assert not self.env.is_terminal(IntervalState(0.0, 1.0))
+        assert self.env.is_terminal(IntervalState(0.0, 2.0**-17))
+        assert not self.env.is_terminal(IntervalState(0.0, 2.0**-16))
 
     def test_terminal_depth_is_seventeen(self):
         state = IntervalState(0.0, 1.0)
         depth = 0
-        while not is_terminal(state):
-            state = children(state)[0]
+        while not self.env.is_terminal(state):
+            state = self.env.apply(state, 0)
             depth += 1
         assert depth == 17
-        with pytest.raises(ValueError):
-            children(state)
+        assert state == IntervalState(0.0, 2.0**-17)
 
     def test_random_paths_reach_depth_seventeen(self):
         rng = random.Random(43)
         for _ in range(50):
             state = IntervalState(0.0, 1.0)
             depth = 0
-            while not is_terminal(state):
-                state = children(state)[rng.randrange(2)]
+            while not self.env.is_terminal(state):
+                state = self.env.apply(state, rng.randrange(2))
                 depth += 1
             assert depth == 17
             # Terminal centres live on the odd dyadic grid (2k+1)/2^18.
-            numerator = centre(state) * 2.0**18
+            numerator = self.env.centre(state) * 2.0**18
             assert numerator == int(numerator)
             assert int(numerator) % 2 == 1
 
     def test_centre_midpoints(self):
-        assert centre(IntervalState(0.0, 1.0)) == 0.5
-        assert centre(IntervalState(0.5, 0.75)) == 0.625
+        assert self.env.centre(IntervalState(0.0, 1.0)) == 0.5
+        assert self.env.centre(IntervalState(0.5, 0.75)) == 0.625
         rng = random.Random(44)
         state = IntervalState(0.0, 1.0)
         for _ in range(17):
-            state = children(state)[rng.randrange(2)]
-            assert state.a < centre(state) < state.b
+            state = self.env.apply(state, rng.randrange(2))
+            assert state.a < self.env.centre(state) < state.b
 
 
 class TestFunctionEnv:
-    def test_engine_contract_matches_module_functions(self):
+    def test_engine_contract(self):
         env = FunctionEnv("f1")
         root = env.initial_state()
         assert root == IntervalState(0.0, 1.0)
         assert list(env.actions(root)) == [0, 1]
         assert env.apply(root, 0) == IntervalState(0.0, 0.5)
         assert env.apply(root, 1) == IntervalState(0.5, 1.0)
-        assert env.centre(root) == centre(root)
-        assert env.is_terminal(root) == is_terminal(root)
+        assert env.centre(root) == 0.5
+        assert not env.is_terminal(root)
         assert env.threshold == DEFAULT_THRESHOLD
 
     def test_reward_requires_terminal(self):

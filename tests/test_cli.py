@@ -4,6 +4,7 @@ validation, output files, and cross-run/worker determinism."""
 import json
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -83,8 +84,10 @@ class TestParseAgents:
     def test_garbage_rejected(self):
         with pytest.raises(ValueError):
             _parse_agents("ucb:1", False)
-        with pytest.raises(ValueError):
-            _parse_agents("", False)
+        # An empty list is rejected by the config, where every entry
+        # path meets it.
+        with pytest.raises(ValueError, match="no agents given"):
+            ExperimentConfig(agents=_parse_agents("", False))
 
 
 class TestExperimentConfig:
@@ -104,6 +107,12 @@ class TestExperimentConfig:
     def test_unknown_function_rejected(self):
         with pytest.raises(ValueError):
             ExperimentConfig(functions=["f7"])
+
+    def test_empty_grid_rejected(self):
+        with pytest.raises(ValueError, match="no functions given"):
+            ExperimentConfig(functions=[])
+        with pytest.raises(ValueError, match="no agents given"):
+            ExperimentConfig(agents=[])
 
     def test_duplicate_function_rejected(self):
         with pytest.raises(ValueError, match="'f1' is listed more than once"):
@@ -221,6 +230,13 @@ class TestRunExperiment:
         ):
             assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes(), name
 
+    def test_parallel_run_prints_progress(self, tmp_path, capsys):
+        run_experiment(_uct_cfg(tmp_path, runs=3, iterations=50, workers=2))
+        progress = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("[")]
+        assert [ln.split(" (")[0] for ln in progress] == [
+            f"[{k + 1}/3] f1_{SQRT2_LABEL} run {k}" for k in range(3)
+        ]
+
     def test_visit_weighted_export(self, tmp_path):
         cfg = _uct_cfg(tmp_path, visit_weighted=True, bins=50)
         run_experiment(cfg)
@@ -266,6 +282,50 @@ class TestMain:
         code = main([*argv, "--runs", "1", "--iterations", "20", "--out", str(tmp_path)])
         assert code == 2
         assert "uct_c0.5" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, config, message",
+        [
+            (["--functions", ","], {}, "no functions given"),
+            ([], {"functions": []}, "no functions given"),
+            (["--agents", ","], {}, "no agents given"),
+            ([], {"agents": []}, "no agents given"),
+        ],
+        ids=["functions-flag", "functions-config", "agents-flag", "agents-config"],
+    )
+    def test_empty_grid_exits_2(self, tmp_path, capsys, argv, config, message):
+        # An empty grid used to print "done: 0 runs, 0 configs" and exit 0.
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"runs": 1, "iterations": 20, **config}))
+        code = main(["--config", str(cfg_path), *argv, "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_help_quotes_the_dataclass_defaults(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        # The option list follows the usage line, so the last mention of
+        # a flag starts its help text.
+        helps = {}
+        for segment in re.split(r" (?=--[a-z])", text):
+            helps[segment.split()[0]] = segment
+        exp, ea = ExperimentConfig, EvolutionConfig
+        for flag, default in (
+            ("--iterations", exp.iterations),
+            ("--runs", exp.runs),
+            ("--bins", exp.bins),
+            ("--seed", exp.base_seed),
+            ("--ea-generations", ea.generations),
+            ("--ea-lambda", ea.lambda_),
+            ("--ea-sims", ea.sims_per_eval),
+            ("--ea-alpha", ea.alpha),
+            ("--ea-beta", ea.beta),
+            ("--out", exp.out_dir),
+            ("--workers", exp.workers),
+        ):
+            assert helps[flag].endswith(f"(default {default})"), helps[flag]
 
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

@@ -3,7 +3,6 @@ selection rule, random growth, subtree mutation, and serialisation."""
 
 import math
 import random
-import struct
 from types import SimpleNamespace
 
 import pytest
@@ -20,7 +19,6 @@ from evomcts.expr import (
     NodeContext,
     Var,
     compile_chooser,
-    compile_expression,
     evaluate,
     mutate,
     parse,
@@ -385,6 +383,18 @@ def _children(draw):
     return [SimpleNamespace(visits=pool[i][0], total_reward=pool[i][1]) for i in picks]
 
 
+class _Reward:
+    """A stand-in child's total reward whose mean is given outright, so
+    that the child can carry any (Q, Nc) pair, Nc of 0, inf or NaN
+    included."""
+
+    def __init__(self, mean):
+        self.mean = mean
+
+    def __truediv__(self, visits):
+        return self.mean
+
+
 def _reference_ties(expression, n_parent, children):
     best, ties = -math.inf, []
     for child in children:
@@ -412,19 +422,6 @@ class TestTotalisation:
 
     @given(
         root=_trees,
-        q=_finite,
-        n_parent=st.one_of(st.integers(min_value=1, max_value=10**9), _finite),
-        n_child=st.one_of(st.integers(min_value=1, max_value=10**9), _finite),
-    )
-    @settings(max_examples=300)
-    def test_compiled_matches_interpreter(self, root, q, n_parent, n_child):
-        e = Expression(root)
-        want = evaluate(e, NodeContext(q, n_parent, n_child))
-        got = compile_expression(e)(q, n_parent, n_child)
-        assert struct.pack("<d", got) == struct.pack("<d", want)
-
-    @given(
-        root=_trees,
         n_parent=st.one_of(st.integers(min_value=1, max_value=10**9), _finite),
         children=_children(),
     )
@@ -443,14 +440,18 @@ class TestTotalisation:
         edges = [0.001, -0.001, 0.0009999999999999998, 0.0, -0.0, 1e300, -1e300]
         edges += [1.0000000000000002e300, 1e308, -1e308, math.inf, -math.inf, math.nan]
         arity = 1 if op in ("log", "sqrt") else 2
+        # The operator once per child, on every (Q, Nc) pair: each pair of
+        # children must come back in the interpreter's order, ties and
+        # NaN (which loses every comparison) included.
         e = Expression(Func(op, (Var("Q"), Var("Nc"))[:arity]))
-        score = compile_expression(e)
-        for q in edges:
-            for n_child in edges:
-                want = evaluate(e, NodeContext(q, 3, n_child))
-                got = score(q, 3, n_child)
-                assert struct.pack("<d", got) == struct.pack("<d", want), (q, n_child)
-        # In the chooser: the operator once per child, and once per node.
+        choose = compile_chooser(e)
+        pairs = [SimpleNamespace(visits=n, total_reward=_Reward(q)) for q in edges for n in edges]
+        for i, a in enumerate(pairs):
+            for b in pairs[i:]:
+                want = _reference_ties(e, 3, [a, b])
+                got = choose(3, [a, b])
+                assert [id(c) for c in got] == [id(c) for c in want], (a, b)
+        # The operator once per child, and once per node.
         children = [SimpleNamespace(visits=1, total_reward=q) for q in edges]
         per_node = Func(op, (Var("Np"), Var("Np"))[:arity])
         for root in (Func(op, (Var("Q"), Var("Np"))[:arity]), Func("sub", (per_node, Var("Q")))):
@@ -471,12 +472,17 @@ class TestTotalisation:
     def test_compiled_tree_deeper_than_parser_nesting(self):
         # One statement per node: a 300-deep chain would exceed the
         # nesting limit of Python's parser as a single nested expression.
+        # The chain reads only Np, so it runs in the per-node stage; the
+        # score Q - chain * Nc ties the three children exactly when the
+        # chain's value is 1.0, as the interpreter computes it.
         node = Var("Np")
         for _ in range(300):
             node = Func("sqrt", (node,))
-        e = Expression(node)
-        ctx = NodeContext(0.5, 7.0, 3.0)
-        assert compile_expression(e)(*ctx) == evaluate(e, ctx)
+        e = Expression(Func("sub", (Var("Q"), Func("mul", (node, Var("Nc"))))))
+        assert evaluate(Expression(node), NodeContext(0.5, 7.0, 3.0)) == 1.0
+        children = [SimpleNamespace(visits=v, total_reward=v * v) for v in (1, 2, 3)]
+        want = _reference_ties(e, 7, children)
+        assert compile_chooser(e)(7, children) == want == children
 
     def test_saturation_on_product_towers(self):
         # A balanced tower of 128 multiplied parent counts overflows

@@ -108,9 +108,8 @@ class TestPolicies:
                 assert policy.best_children(n_parent, root.children) == want
         assert found >= 200
 
-    def test_expression_policy_scores_lazily_compiled(self):
+    def test_expression_policy_call_matches_closed_form(self):
         policy = ExpressionPolicy(uct_seed(1.0))
-        assert policy._score is None
         assert policy(0.5, 10, 5) == closed_form_uct(0.5, 10, 5, 1.0)
 
 
@@ -389,16 +388,6 @@ class TestRunSearch:
 
 
 class TestCloneAndBestChild:
-    def test_clone_is_deep_and_identical(self):
-        env = FunctionEnv("f1")
-        root, _ = run_search(env, UctPolicy(1.0), 200, random.Random(74))
-        copy = root.clone()
-        assert tree_signature(copy) == tree_signature(root)
-        before = tree_signature(root)
-        copy.children[0].visits += 1
-        copy.children[0].children.clear()
-        assert tree_signature(root) == before
-
     def test_best_child_picks_highest_mean(self):
         root = _stats_root([(10, 3.0), (10, 7.0)])
         assert best_child(root, random.Random(75)) is root.children[1]

@@ -1,5 +1,5 @@
 """Evolution-strategy tests: semantic distance, the tie-break ladder of
-parent selection, fitness evaluation on tree copies, the full
+parent selection, fitness evaluation on fresh trees, the full
 evolutionary loop, and the evolve-then-search driver."""
 
 import math
@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from conftest import tree_signature
 from evomcts.bench import FunctionEnv
 from evomcts.expr import DEFAULT_MAX_DEPTH, parse, uct_seed
-from evomcts.mcts import create_root, run_search
+from evomcts.mcts import ExpressionPolicy, run_search
 from evomcts.siea import (
     EvolutionConfig,
     Individual,
@@ -93,7 +93,7 @@ class TestSelectParent:
         ]
         for seed in range(20):
             picked = select_parent(offspring, parent, 5.0, 10.0, random.Random(seed))
-            assert picked is offspring[1]
+            assert picked == (1, "unique_best")
 
     def test_semantic_tiebreak_prefers_closest_to_alpha(self):
         # Two tied-best children at distances 6 and 9 from the parent:
@@ -103,34 +103,34 @@ class TestSelectParent:
         far = _ind(0.9, [9.0, 9.0], tag="Nc")
         for seed in range(20):
             picked = select_parent([far, near], parent, 5.0, 10.0, random.Random(seed))
-            assert picked is near
+            assert picked == (1, "semantic")
 
     def test_semantic_tiebreak_with_small_band(self):
         parent = _ind(0.5, [0.5] * 10)
         inside = _ind(0.9, [0.4] * 10, tag="Np")  # distance 0.1
         outside = _ind(0.9, [0.9] * 10, tag="Nc")  # distance 0.4
         picked = select_parent([outside, inside], parent, 0.05, 0.2, random.Random(7))
-        assert picked is inside
+        assert picked == (1, "semantic")
 
     def test_empty_band_falls_back_to_uniform(self):
         parent = _ind(0.5, [0.0] * 4)
         a = _ind(0.9, [0.2] * 4)
         b = _ind(0.9, [0.4] * 4)
         rng = random.Random(82)
-        counts = {id(a): 0, id(b): 0}
+        counts = {(0, "random"): 0, (1, "random"): 0}
         for _ in range(10_000):
-            counts[id(select_parent([a, b], parent, 5.0, 10.0, rng))] += 1
-        assert abs(counts[id(a)] / 10_000 - 0.5) < 0.02
+            counts[select_parent([a, b], parent, 5.0, 10.0, rng)] += 1
+        assert abs(counts[(0, "random")] / 10_000 - 0.5) < 0.02
 
     def test_unevaluated_parent_falls_back_to_uniform(self):
         parent = Individual(uct_seed(math.sqrt(2.0)))
         a = _ind(0.9, [0.9] * 4)
         b = _ind(0.9, [0.1] * 4)
         rng = random.Random(83)
-        counts = {id(a): 0, id(b): 0}
+        counts = {(0, "random"): 0, (1, "random"): 0}
         for _ in range(4000):
-            counts[id(select_parent([a, b], parent, 0.05, 0.2, rng))] += 1
-        assert counts[id(a)] > 1500 and counts[id(b)] > 1500
+            counts[select_parent([a, b], parent, 0.05, 0.2, rng)] += 1
+        assert counts[(0, "random")] > 1500 and counts[(1, "random")] > 1500
 
     def test_result_always_in_max_fitness_set(self):
         rng = random.Random(84)
@@ -142,8 +142,8 @@ class TestSelectParent:
             ]
             parent = _ind(0.5, [rng.random() for _ in range(5)])
             best = max(o.fitness for o in offspring)
-            picked = select_parent(offspring, parent, 0.05, 0.2, rng)
-            assert picked.fitness == best
+            index, _ = select_parent(offspring, parent, 0.05, 0.2, rng)
+            assert offspring[index].fitness == best
 
     def test_empty_offspring_rejected(self):
         with pytest.raises(ValueError):
@@ -153,22 +153,21 @@ class TestSelectParent:
 class TestEvaluateIndividual:
     def test_sure_reward_gives_unit_fitness(self):
         env = FunctionEnv(lambda x: 1.0)
-        base = create_root(env)
-        got = evaluate_individual(uct_seed(1.0), base, env, 30, random.Random(85))
+        got = evaluate_individual(uct_seed(1.0), env, 30, random.Random(85))
         assert got.fitness == 1.0
         assert got.semantics == [1.0] * 30
 
-    def test_base_tree_untouched(self):
-        env = FunctionEnv("f1")
-        base, _ = run_search(env, lambda q, n_parent, n_child: q, 50, random.Random(86))
-        before = tree_signature(base)
-        evaluate_individual(uct_seed(1.0), base, env, 30, random.Random(87))
-        assert tree_signature(base) == before
+    def test_same_draws_as_a_search_from_a_fresh_root(self):
+        env = FunctionEnv("f2")
+        rng_eval, rng_search = random.Random(86), random.Random(86)
+        got = evaluate_individual(uct_seed(1.0), env, 30, rng_eval)
+        root, _ = run_search(env, ExpressionPolicy(uct_seed(1.0)), 30, rng_search)
+        assert rng_eval.getstate() == rng_search.getstate()
+        assert sum(got.semantics) == root.total_reward
 
     def test_fitness_is_mean_of_semantics(self):
         env = FunctionEnv("f1")
-        base = create_root(env)
-        got = evaluate_individual(uct_seed(math.sqrt(2.0)), base, env, 30, random.Random(88))
+        got = evaluate_individual(uct_seed(math.sqrt(2.0)), env, 30, random.Random(88))
         assert len(got.semantics) == 30
         assert all(v in (0.0, 1.0) for v in got.semantics)
         assert got.fitness == pytest.approx(sum(got.semantics) / 30)
@@ -176,9 +175,8 @@ class TestEvaluateIndividual:
 
     def test_deterministic_per_seed(self):
         env = FunctionEnv("f1")
-        base = create_root(env)
         runs = [
-            evaluate_individual(uct_seed(math.sqrt(2.0)), base, env, 30, random.Random(89))
+            evaluate_individual(uct_seed(math.sqrt(2.0)), env, 30, random.Random(89))
             for _ in range(2)
         ]
         assert runs[0].fitness == runs[1].fitness
@@ -186,8 +184,7 @@ class TestEvaluateIndividual:
 
     def test_draw_budget_matches_sims(self):
         env = FunctionEnv("f1")
-        base = create_root(env)
-        evaluate_individual(uct_seed(1.0), base, env, 17, random.Random(90))
+        evaluate_individual(uct_seed(1.0), env, 17, random.Random(90))
         assert env.reward_draws == 17
 
 
@@ -196,8 +193,8 @@ class TestEvolutionConfig:
         assert EvolutionConfig().eval_budget == 2400
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            EvolutionConfig(mu=2)
+        with pytest.raises(TypeError):
+            EvolutionConfig(mu=2)  # a (1, lambda) strategy has no mu field
         with pytest.raises(ValueError):
             EvolutionConfig(lambda_=0)
         with pytest.raises(ValueError):
