@@ -11,11 +11,16 @@ optimum.
 Exports: CSV (one row per tertile/bin), JSON (whole report), and a
 3-column gnuplot data file (bin midpoint, tertile, mean count, with a
 blank line between tertile blocks so gnuplot sees separate datasets).
+The bytes of all three are a contract: ``tests/test_analysis.py``
+compares them with the per-cell writers the module first shipped, and
+pins the sha256 of every file of a small grid.  The writers read each
+report once through ``tolist()``, so no cell goes through numpy.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 from dataclasses import dataclass
 
@@ -201,29 +206,32 @@ _CSV_FIELDS = (
 )
 
 
+def _count_rows(report: HistogramReport) -> list:
+    # Python floats, one list per tertile, so no cell is read through numpy.
+    return np.asarray(report.tertile_counts, dtype=float).tolist()
+
+
 def write_csv(report: HistogramReport, path, meta: dict) -> None:
     """One row per (tertile, bin); ``meta`` supplies the run columns
-    (function, policy, c_or_evolved, run_seed)."""
-    edges = report.edges
+    (function, policy, c_or_evolved, run_seed), which are quoted once
+    since they repeat on every row.  The numeric columns need no quoting.
+    """
+    line = io.StringIO()
+    csv.writer(line).writerow(
+        [report.config_id, meta["function"], meta["policy"], meta["c_or_evolved"], meta["run_seed"]]
+    )
+    head = line.getvalue()[: -len("\r\n")]
+    edges = [repr(e) for e in report.edges.tolist()]
+    spans = [f"{lo},{hi}" for lo, hi in zip(edges, edges[1:])]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_CSV_FIELDS)
-        for t in range(TERTILE_COUNT):
-            for i in range(report.bins):
-                writer.writerow(
-                    [
-                        report.config_id,
-                        meta["function"],
-                        meta["policy"],
-                        meta["c_or_evolved"],
-                        meta["run_seed"],
-                        t,
-                        i,
-                        repr(float(edges[i])),
-                        repr(float(edges[i + 1])),
-                        repr(float(report.tertile_counts[t, i])),
-                    ]
+        csv.writer(fh).writerow(_CSV_FIELDS)
+        for t, counts in enumerate(_count_rows(report)):
+            fh.write(
+                "".join(
+                    f"{head},{t},{i},{span},{count!r}\r\n"
+                    for i, (span, count) in enumerate(zip(spans, counts))
                 )
+            )
 
 
 def write_json(report: HistogramReport, path, meta: dict) -> None:
@@ -231,8 +239,8 @@ def write_json(report: HistogramReport, path, meta: dict) -> None:
         "config_id": report.config_id,
         "bins": report.bins,
         "runs": report.runs,
-        "edges": [float(e) for e in report.edges],
-        "tertile_counts": [[float(c) for c in row] for row in report.tertile_counts],
+        "edges": report.edges.tolist(),
+        "tertile_counts": _count_rows(report),
         **meta,
     }
     with open(path, "w") as fh:
@@ -242,14 +250,11 @@ def write_json(report: HistogramReport, path, meta: dict) -> None:
 
 def write_plotdata(report: HistogramReport, path) -> None:
     """3 columns (bin_mid, tertile, mean_count), blank line per tertile."""
-    mids = report.midpoints()
-    blocks = []
-    for t in range(TERTILE_COUNT):
-        rows = [
-            f"{float(mids[i])!r} {t} {float(report.tertile_counts[t, i])!r}"
-            for i in range(report.bins)
-        ]
-        blocks.append("\n".join(rows))
+    mids = [repr(m) for m in report.midpoints().tolist()]
+    blocks = [
+        "\n".join(f"{mid} {t} {count!r}" for mid, count in zip(mids, counts))
+        for t, counts in enumerate(_count_rows(report))
+    ]
     with open(path, "w") as fh:
         fh.write("# bin_mid tertile mean_count\n")
         fh.write("\n\n".join(blocks))

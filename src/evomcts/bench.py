@@ -208,17 +208,23 @@ class FunctionEnv:
         """Uniform random walk from ``state`` to a terminal state.
 
         One loop in place of ``is_terminal``/``actions``/``apply`` per
-        step, with ``apply``'s arithmetic and the same draw,
-        ``rng.randrange(branching)``, since ``actions`` is
-        ``range(branching)``.
+        step, with ``apply``'s arithmetic.  Each step makes the draw
+        ``rng.randrange(branching)`` would make, since ``actions`` is
+        ``range(branching)``, written inline as CPython 3.11's
+        ``randrange(n)`` does it: ``getrandbits(n.bit_length())``, drawn
+        again while the value is ``>= n``.  The values and the RNG state
+        afterwards are the same as with ``randrange``.
         """
         a, b = state
         threshold, branching = self.threshold, self.branching
         last = branching - 1
-        randrange = rng.randrange
+        getrandbits = rng.getrandbits
+        k = branching.bit_length()
         while not (b - a) < threshold:
             step = (b - a) / branching
-            action = randrange(branching)
+            action = getrandbits(k)
+            while action >= branching:
+                action = getrandbits(k)
             a = a + action * step
             if action != last:
                 b = a + step

@@ -64,6 +64,9 @@ class AgentSpec:
         if self.kind == "uct":
             if self.c is None:
                 raise ValueError("uct agent needs an exploration constant")
+            # An infinite or NaN c turns every UCB1 score into inf or NaN.
+            if not math.isfinite(self.c):
+                raise ValueError(f"uct exploration constant must be finite, got {self.c}")
         elif self.kind == "siea":
             if self.c is not None:
                 raise ValueError("siea agent takes no constant")
@@ -170,9 +173,7 @@ def _execute_run(payload: dict) -> dict:
         "best_child_centre": env.centre(best_child(root, rng).state),
     }
     if payload["visit_bins"]:
-        result["visit_counts"] = [
-            float(v) for v in visit_weighted_counts(root, env, payload["visit_bins"])
-        ]
+        result["visit_counts"] = visit_weighted_counts(root, env, payload["visit_bins"]).tolist()
     return result
 
 
@@ -220,8 +221,14 @@ def _write_run_log(path: Path, payload: dict, result: dict) -> None:
 
 
 def run_experiment(cfg: ExperimentConfig) -> dict:
-    """Run the full grid; returns {config_id: aggregate HistogramReport}."""
+    """Run the full grid; returns {config_id: aggregate HistogramReport}.
+
+    Raises FileExistsError, writing nothing, unless ``out_dir`` is new or
+    an empty directory, so no earlier grid's files mix with this one's.
+    """
     out_dir = Path(cfg.out_dir)
+    if out_dir.exists() and (not out_dir.is_dir() or any(out_dir.iterdir())):
+        raise FileExistsError(f"output directory {out_dir} is not new or empty")
     logs_dir = out_dir / "logs"
     logs_dir.mkdir(parents=True, exist_ok=True)
 
@@ -290,9 +297,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
                 "log_span": cfg.post_iterations if agent.kind == "siea" else cfg.iterations,
             }
             if cid in visit_rows:
-                json_meta["visit_weighted_mean"] = [
-                    float(v) for v in np.mean(visit_rows[cid], axis=0)
-                ]
+                json_meta["visit_weighted_mean"] = np.mean(visit_rows[cid], axis=0).tolist()
             write_json(report, out_dir / f"{cid}.json", json_meta)
             write_plotdata(report, out_dir / f"{cid}.dat")
     print(
@@ -468,6 +473,9 @@ def main(argv=None) -> int:
         return 2
     try:
         run_experiment(cfg)
+    except FileExistsError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except Exception as exc:  # pragma: no cover - defensive
         print(f"run failed: {exc}", file=sys.stderr)
         return 1

@@ -25,7 +25,10 @@ engine draws from a single ``random.Random`` stream, always via
 floats.  Score ties during selection consult the RNG only when at least
 two children are tied at the maximum (children enumerated in creation
 order); expansion pops a uniformly random untried action; a rollout
-(``env.playout``) draws one ``randrange(branching)`` per step.
+(``env.playout``) makes, per step, the draw ``randrange(branching)``
+would make, written inline with ``getrandbits`` as CPython 3.11's
+``randrange`` does it, so the values and the stream state afterwards
+are the same.
 """
 
 from __future__ import annotations

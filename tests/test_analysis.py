@@ -2,10 +2,15 @@
 aggregation, peak measurements, and the export formats."""
 
 import csv
+import hashlib
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evomcts.analysis import (
     HistogramReport,
@@ -21,6 +26,7 @@ from evomcts.analysis import (
     write_plotdata,
 )
 from evomcts.bench import FunctionEnv, IntervalState
+from evomcts.cli import main
 from evomcts.mcts import SearchNode
 
 
@@ -309,3 +315,193 @@ class TestExports:
         for p in paths:
             write_csv(report, p, self.META)
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+# ----------------------------------------------------------------------
+# Export bytes.  The writers' output is a contract: the functions below
+# are the per-cell writers the module shipped before it converted each
+# report with ``tolist()``, kept as the reference for every byte.
+# ----------------------------------------------------------------------
+
+
+def _reference_write_csv(report, path, meta):
+    edges = report.edges
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(
+            (
+                "config_id",
+                "function",
+                "policy",
+                "c_or_evolved",
+                "run_seed",
+                "tertile",
+                "bin_index",
+                "bin_low",
+                "bin_high",
+                "mean_count",
+            )
+        )
+        for t in range(3):
+            for i in range(report.bins):
+                writer.writerow(
+                    [
+                        report.config_id,
+                        meta["function"],
+                        meta["policy"],
+                        meta["c_or_evolved"],
+                        meta["run_seed"],
+                        t,
+                        i,
+                        repr(float(edges[i])),
+                        repr(float(edges[i + 1])),
+                        repr(float(report.tertile_counts[t, i])),
+                    ]
+                )
+
+
+def _reference_write_json(report, path, meta):
+    payload = {
+        "config_id": report.config_id,
+        "bins": report.bins,
+        "runs": report.runs,
+        "edges": [float(e) for e in report.edges],
+        "tertile_counts": [[float(c) for c in row] for row in report.tertile_counts],
+        **meta,
+    }
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def _reference_write_plotdata(report, path):
+    mids = report.midpoints()
+    blocks = []
+    for t in range(3):
+        rows = [
+            f"{float(mids[i])!r} {t} {float(report.tertile_counts[t, i])!r}"
+            for i in range(report.bins)
+        ]
+        blocks.append("\n".join(rows))
+    with open(path, "w") as fh:
+        fh.write("# bin_mid tertile mean_count\n")
+        fh.write("\n\n".join(blocks))
+        fh.write("\n")
+
+
+def _assert_same_bytes(report, meta):
+    writers = (
+        ("csv", write_csv, _reference_write_csv, (meta,)),
+        ("json", write_json, _reference_write_json, (meta,)),
+        ("dat", write_plotdata, _reference_write_plotdata, ()),
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, write, reference, extra in writers:
+            got, want = Path(tmp, f"got.{name}"), Path(tmp, f"want.{name}")
+            write(report, got, *extra)
+            reference(report, want, *extra)
+            assert got.read_bytes() == want.read_bytes(), name
+
+
+# Text that csv.writer must quote (delimiter, quote, line breaks) or that
+# sits at its edges (empty, leading space).
+_AWKWARD = ["a,b", 'say "hi"', "two\nlines", "cr\rhere", "", " lead", "plain"]
+
+
+def _counts(rng, bins, runs, kind):
+    raw = rng.integers(0, 40, size=(3, bins))
+    raw[rng.random((3, bins)) < 0.4] = 0
+    if kind == "int":
+        return raw
+    if kind == "mean":
+        return raw / runs
+    return raw * rng.random((3, bins)) * 10.0 ** rng.integers(-300, 300, size=(3, bins))
+
+
+class TestExportBytes:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        bins=st.integers(1, 300),
+        runs=st.integers(1, 30),
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(["mean", "int", "wide"]),
+        config_id=st.sampled_from(_AWKWARD + ["f1_uct_c0.5"]),
+        text=st.text(alphabet=',"\n\r ab\u00e9', max_size=6),
+        c_or_evolved=st.one_of(
+            st.just("evolved"), st.floats(allow_nan=False, allow_infinity=False), st.integers()
+        ),
+        run_seed=st.integers(-(2**70), 2**70),
+        visit=st.booleans(),
+    )
+    def test_writers_match_the_per_cell_reference(
+        self, bins, runs, seed, kind, config_id, text, c_or_evolved, run_seed, visit
+    ):
+        rng = np.random.default_rng(seed)
+        report = HistogramReport(
+            bins=bins, tertile_counts=_counts(rng, bins, runs, kind), runs=runs, config_id=config_id
+        )
+        meta = {"function": text, "policy": "uct", "c_or_evolved": c_or_evolved}
+        meta["run_seed"] = run_seed
+        if visit:
+            meta["visit_weighted_mean"] = (rng.random(bins) * 50).tolist()
+        _assert_same_bytes(report, meta)
+
+    @pytest.mark.parametrize("text", _AWKWARD)
+    def test_meta_strings_that_need_quoting(self, text):
+        log = [(i, (i % 10) / 10 + 0.05) for i in range(60)]
+        report = aggregate([run_report(log, 60, 10, text), run_report(log[:7], 60, 10, text)])
+        for meta in (
+            {"function": text, "policy": "uct", "c_or_evolved": 0.5, "run_seed": 7},
+            {"function": "f2", "policy": text, "c_or_evolved": "evolved", "run_seed": 0},
+            {"function": "f2", "policy": "siea", "c_or_evolved": text, "run_seed": 0},
+        ):
+            _assert_same_bytes(report, meta)
+
+
+# sha256 of every file the grid below writes, computed before the writers
+# read each report through ``tolist()``.
+GRID_SHA256 = {
+    "f1_siea.csv": "c2267d5692876c717511a087ff3e25007bb7b25c1b526513e8bdd816171e46af",
+    "f1_siea.dat": "c88767f6384ea1ff726c1fafd08886b9574ce3690935e77cdd2d6c9674b56f85",
+    "f1_siea.json": "d658fd2940e6405b071fbabc4a4fbb3a8b996d015eb0f9eb9dc7a129b6c5419b",
+    "f1_uct_c0.5.csv": "98ea49fe34a889b09730cfb138d0b222face588b4822e861dd3870cdbab8437d",
+    "f1_uct_c0.5.dat": "d0dff6bee9f7f1dadaee208512ade6c46d38c8a950874c25670927db98ceff8d",
+    "f1_uct_c0.5.json": "4aaf79fd30ba18cd6865d414e37ca0ec0aa37d10eac267cb11634a59c820073a",
+    "f1_uct_c1.41421.csv": "628a8be921a61bd6a49a057c0aa0b0f7c2d5e039486206cb545362f89892482a",
+    "f1_uct_c1.41421.dat": "88fc418d3dcd495fa10a858e8d228d2bf45235aaa9ffda9caf1a7b263d209cfb",
+    "f1_uct_c1.41421.json": "2118f4a29cf38a22224bb3425c3c25df637fc698f9f861c9b30a2e75830b4d0c",
+    "f4_siea.csv": "059c214dca10a1088f95f9751bacf8a47e0d4f85574a118401f881c4db9a7010",
+    "f4_siea.dat": "5f2daaf7deadf8caa65c4bad01e0cc474ab7ab98bb17bcfa65fae43d3ddee2f7",
+    "f4_siea.json": "101770f7926493334e0b0f40cb3f811fac1c61f8756d5ad19ff7f15504568854",
+    "f4_uct_c0.5.csv": "f743abd3c5f3f3f8ac28c5da93016fd0e53d2965f419ec07b4378948fb013377",
+    "f4_uct_c0.5.dat": "10ab98253f46c0d0c2df415f36519f7dfd138fc99fd8aa098eb6671133cfcdbc",
+    "f4_uct_c0.5.json": "73da4102e5de40afbcbeaac67cfb2b78323fa8bfdadd22e7b406c2ad9a10ac62",
+    "f4_uct_c1.41421.csv": "f454c2e66828e9e645a6116b00f6562e6cf58e20f88cda9e7397e930e2a0bcc5",
+    "f4_uct_c1.41421.dat": "db3dce46b6977d1da57d3a4c261b8eb57deb799d32f8cf645060f2d8f939b1df",
+    "f4_uct_c1.41421.json": "42d5c30044daf9808191ba65f7f5344efcbdf79a0755cacf019d25ab43d45a09",
+    "logs/f1_siea_run000.jsonl": "b63a13ff1cf40d4a38fd390f94739b155e764434e3ac9a1997fcef3fc5fc7300",
+    "logs/f1_siea_run001.jsonl": "af14ebecae0808147b8751ab9a427838bc13e08f64d71ddc172e17c3188af54d",
+    "logs/f1_uct_c0.5_run000.jsonl": "c0c7aaa510ce6088d34ad9a82d23d6a9ebb3a77bd92e29f5cb845fec195bcfd1",
+    "logs/f1_uct_c0.5_run001.jsonl": "26e20b78698571d44986c613f249e334b1b45c4282df627dd39e60e92160ab1b",
+    "logs/f1_uct_c1.41421_run000.jsonl": "3cb26d81cf19da47dc0324462bec3e940212f6a96465b87a5c153ccdd8db51a4",
+    "logs/f1_uct_c1.41421_run001.jsonl": "ef760545bc58a105e41999776b142a63998591867585a26d178162b1035aa401",
+    "logs/f4_siea_run000.jsonl": "2488a3896b74958e221d5738d7a7d543f3ad479ca226ed36bff7f701fc53b265",
+    "logs/f4_siea_run001.jsonl": "64d5fd8de849cbda207e63ca10f2886200b1f09dbffeb31a9510edbfd5ba3878",
+    "logs/f4_uct_c0.5_run000.jsonl": "a4d8ca6893ac129dd39c1c18d521b786e24ee7f1b28c0dc896f80c9cd990ff31",
+    "logs/f4_uct_c0.5_run001.jsonl": "0ccf78d96283525626a1a3d36f947a83872863ab4685f4a76db732f834bc8d9c",
+    "logs/f4_uct_c1.41421_run000.jsonl": "0c1eccf39fdc56d6aaea7d504bceadd40af34240a934022dde7497e5083f4232",
+    "logs/f4_uct_c1.41421_run001.jsonl": "c17ed70aaaac3a4adae08997fc60bc4f6234d902309770c07954c58feb99aa97",
+}
+
+
+def test_grid_files_unchanged(tmp_path):
+    argv = ["--functions", "f1,f4", "--agents", "uct:0.5,uct:sqrt2,siea", "--runs", "2"]
+    argv += ["--iterations", "150", "--bins", "37", "--seed", "11", "--visit-weighted"]
+    argv += ["--ea-generations", "2", "--ea-lambda", "2", "--ea-sims", "5"]
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    digests = {
+        path.relative_to(tmp_path).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(tmp_path.rglob("*"))
+        if path.is_file()
+    }
+    assert digests == GRID_SHA256

@@ -284,11 +284,28 @@ def _stepwise_playout(env, state, rng):
 
 
 class TestPlayout:
-    @pytest.mark.parametrize("branching", [2, 3, 5])
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_getrandbits_loop_is_randrange(self, n):
+        # ``playout`` draws each step with this loop in place of
+        # ``randrange(n)``.  A Python whose ``randrange`` draws otherwise
+        # fails here before any search result changes.
+        want_rng, got_rng = random.Random(1000 + n), random.Random(1000 + n)
+        k = n.bit_length()
+        for _ in range(2000):
+            got = got_rng.getrandbits(k)
+            while got >= n:
+                got = got_rng.getrandbits(k)
+            assert got == want_rng.randrange(n)
+        assert got_rng.getstate() == want_rng.getstate()
+
+    @pytest.mark.parametrize("branching", range(2, 10))
     @pytest.mark.parametrize("threshold", [DEFAULT_THRESHOLD, 1e-3, 0.05, 0.34, 2.0])
     def test_matches_stepwise_loop(self, branching, threshold):
-        # Branching 3 and 5 make the interval arithmetic non-dyadic, so a
-        # reordering of apply's operations would show in the last bit.
+        # Branchings other than 2, 4 and 8 make the interval arithmetic
+        # non-dyadic, so a reordering of apply's operations would show in
+        # the last bit.  ``branching.bit_length()`` bits always reach past
+        # ``branching``, so the inline draw retries at every branching,
+        # and each retry must match ``randrange``'s.
         env = FunctionEnv("f1", branching=branching, threshold=threshold)
         for seed in range(40):
             # Start at depth 0 to 3: low bits of a rounding difference

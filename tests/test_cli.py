@@ -64,6 +64,11 @@ class TestAgentSpec:
         with pytest.raises(ValueError):
             AgentSpec("minimax", 1.0)
 
+    @pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf])
+    def test_non_finite_c_rejected(self, c):
+        with pytest.raises(ValueError, match="must be finite"):
+            AgentSpec("uct", c)
+
 
 class TestParseAgents:
     def test_full_grid_string(self):
@@ -301,6 +306,53 @@ class TestMain:
         assert code == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("c", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_non_finite_c_exits_2(self, tmp_path, capsys, c, via):
+        # uct:nan used to fail mid-grid ("scored no child above -inf") and
+        # uct:inf to finish with every score inf or NaN, so that every
+        # selection was a random tie break.
+        argv = ["--functions", "f1", "--runs", "1", "--iterations", "20"]
+        if via == "flag":
+            argv += ["--allow-any-c", "--agents", f"uct:{c}"]
+        else:
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_text(json.dumps({"allow_any_c": True, "agents": [f"uct:{c}"]}))
+            argv += ["--config", str(cfg_path)]
+        code = main([*argv, "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_non_empty_out_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        # A second, smaller grid into the same directory used to leave
+        # f1_uct_c1_run002.jsonl and every f2_* file of the first one.
+        out = tmp_path / "out"
+        argv = ["--agents", "uct:1", "--iterations", "20", "--bins", "5", "--out", str(out)]
+        assert main(["--functions", "f1,f2", "--runs", "3", *argv]) == 0
+        before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        capsys.readouterr()
+        assert main(["--functions", "f1", "--runs", "2", *argv]) == 2
+        err = capsys.readouterr().err
+        assert f"output directory {out} is not new or empty" in err
+        assert not re.search(r"^\[", err, re.M)
+        assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+
+    def test_out_may_be_new_or_empty_but_not_a_file(self, tmp_path, capsys):
+        argv = ["--functions", "f1", "--agents", "uct:1", "--runs", "1", "--iterations", "20"]
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        assert main([*argv, "--out", str(empty)]) == 0
+        assert main([*argv, "--out", str(tmp_path / "new" / "nested")]) == 0
+        assert (empty / "f1_uct_c1.csv").exists()
+        assert (tmp_path / "new" / "nested" / "f1_uct_c1.csv").exists()
+        a_file = tmp_path / "a_file"
+        a_file.write_text("x")
+        capsys.readouterr()
+        assert main([*argv, "--out", str(a_file)]) == 2
+        assert f"output directory {a_file} is not new or empty" in capsys.readouterr().err
+        assert a_file.read_text() == "x"
 
     def test_help_quotes_the_dataclass_defaults(self, capsys):
         with pytest.raises(SystemExit):
