@@ -96,6 +96,7 @@ class ExperimentConfig:
     visit_weighted: bool = False
 
     def __post_init__(self):
+        self.out_dir = Path(self.out_dir)
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
         if self.runs < 1:
@@ -226,7 +227,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     Raises FileExistsError, writing nothing, unless ``out_dir`` is new or
     an empty directory, so no earlier grid's files mix with this one's.
     """
-    out_dir = Path(cfg.out_dir)
+    out_dir = cfg.out_dir
     if out_dir.exists() and (not out_dir.is_dir() or any(out_dir.iterdir())):
         raise FileExistsError(f"output directory {out_dir} is not new or empty")
     logs_dir = out_dir / "logs"
@@ -259,7 +260,10 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     visit_rows: dict = {}
     # Both maps are lazy and yield in task order, so each run is written
     # as soon as it and the runs before it are done.
-    pool = ProcessPoolExecutor(max_workers=cfg.workers) if cfg.workers > 1 else None
+    # The pool forks every worker up front, so it gets no more than there
+    # are runs, and none for a single worker.
+    workers = min(cfg.workers, len(tasks))
+    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     with pool or contextlib.nullcontext():
         results = map(_execute_run, tasks) if pool is None else pool.map(_execute_run, tasks)
         for k, (payload, result) in enumerate(zip(tasks, results), 1):
@@ -337,79 +341,73 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Search-histogram experiments: fixed UCB1 vs evolved selection formulas.",
     )
     parser.add_argument("--config", type=Path, help="JSON config file; flags override its values")
-    parser.add_argument("--functions", help="comma list from f1..f5 (default: all)")
-    parser.add_argument("--agents", help='comma list, e.g. "uct:0.5,uct:sqrt2,siea" (default: full grid)')
-    exp, ea = ExperimentConfig, EvolutionConfig
-    for flag, kind, text, default in (
-        ("--iterations", int, "search iterations per run", exp.iterations),
-        ("--runs", int, "independent runs per (function, agent)", exp.runs),
-        ("--bins", int, "histogram bins over [0,1]", exp.bins),
-        ("--seed", int, "base seed for per-run seed derivation", exp.base_seed),
-        ("--ea-generations", int, "evolution generations", ea.generations),
-        ("--ea-lambda", int, "offspring per generation", ea.lambda_),
-        ("--ea-sims", int, "search iterations per fitness evaluation", ea.sims_per_eval),
-        ("--ea-alpha", float, "lower semantic-distance bound", ea.alpha),
-        ("--ea-beta", float, "upper semantic-distance bound", ea.beta),
-        ("--out", Path, "output directory", exp.out_dir),
-        ("--workers", int, "parallel worker processes", exp.workers),
-    ):
-        parser.add_argument(flag, type=kind, help=f"{text} (default {default})")
-    parser.add_argument(
-        "--allow-any-c",
-        action="store_true",
-        help="accept uct constants outside {0.5, 1, sqrt2, 2, 3}",
-    )
-    parser.add_argument(
-        "--visit-weighted",
-        action="store_true",
-        help="also export visit-weighted histograms (alternative view)",
-    )
+    for key, (_, _, flag_type), target, text in _OPTIONS:
+        flag = "--" + key.replace("_", "-")
+        if flag_type is None:
+            # A switch reads None when absent, like every other flag.
+            parser.add_argument(flag, action="store_const", const=True, help=text)
+        else:
+            if target is not None:
+                text = f"{text} (default {getattr(*target)})"
+            parser.add_argument(flag, type=flag_type, help=text)
     return parser
 
 
-# JSON types a --config value may have: (description, check).
-_INT = ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool))
-_NUMBER = ("a number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool))
-_BOOL = ("true or false", lambda v: isinstance(v, bool))
-_STRING = ("a string", lambda v: isinstance(v, str))
+# JSON types a --config value may have: (description, check, flag type),
+# where a switch has no flag type.
+_INT = ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool), int)
+_NUMBER = ("a number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool), float)
+_BOOL = ("true or false", lambda v: isinstance(v, bool), None)
+_STRING = ("a string", lambda v: isinstance(v, str), str)
 _NAMES = (
     "a string or a list of strings",
     lambda v: isinstance(v, str) or (isinstance(v, list) and all(isinstance(x, str) for x in v)),
+    str,
 )
 
-#: Keys a --config file may hold, with the type of each value.
-_CONFIG_TYPES = {
-    "functions": _NAMES,
-    "agents": _NAMES,
-    "iterations": _INT,
-    "runs": _INT,
-    "bins": _INT,
-    "seed": _INT,
-    "ea_generations": _INT,
-    "ea_lambda": _INT,
-    "ea_sims": _INT,
-    "ea_alpha": _NUMBER,
-    "ea_beta": _NUMBER,
-    "out": _STRING,
-    "workers": _INT,
-    "allow_any_c": _BOOL,
-    "visit_weighted": _BOOL,
-}
+_EXP, _EA = ExperimentConfig, EvolutionConfig
+
+#: Every option: (config key, JSON type, (dataclass, field) it sets, help).
+#: The flag is "--" plus the key with "-" for "_".  functions, agents and
+#: allow_any_c set no field directly; _load_config merges them itself.
+_OPTIONS = (
+    ("functions", _NAMES, None, "comma list from f1..f5 (default: all)"),
+    ("agents", _NAMES, None, 'comma list, e.g. "uct:0.5,uct:sqrt2,siea" (default: full grid)'),
+    ("iterations", _INT, (_EXP, "iterations"), "search iterations per run"),
+    ("runs", _INT, (_EXP, "runs"), "independent runs per (function, agent)"),
+    ("bins", _INT, (_EXP, "bins"), "histogram bins over [0,1]"),
+    ("seed", _INT, (_EXP, "base_seed"), "base seed for per-run seed derivation"),
+    ("ea_generations", _INT, (_EA, "generations"), "evolution generations"),
+    ("ea_lambda", _INT, (_EA, "lambda_"), "offspring per generation"),
+    ("ea_sims", _INT, (_EA, "sims_per_eval"), "search iterations per fitness evaluation"),
+    ("ea_alpha", _NUMBER, (_EA, "alpha"), "lower semantic-distance bound"),
+    ("ea_beta", _NUMBER, (_EA, "beta"), "upper semantic-distance bound"),
+    ("out", _STRING, (_EXP, "out_dir"), "output directory"),
+    ("workers", _INT, (_EXP, "workers"), "parallel worker processes"),
+    ("allow_any_c", _BOOL, None, "accept uct constants outside {0.5, 1, sqrt2, 2, 3}"),
+    (
+        "visit_weighted",
+        _BOOL,
+        (_EXP, "visit_weighted"),
+        "also export visit-weighted histograms (alternative view)",
+    ),
+)
 
 
 def _read_config_file(path: Path) -> dict:
+    types = {key: kind for key, kind, _, _ in _OPTIONS}
     with open(path) as fh:
         values = json.load(fh)
     if not isinstance(values, dict):
         raise ValueError(f"{path} must hold a JSON object")
-    unknown = sorted(set(values) - set(_CONFIG_TYPES))
+    unknown = sorted(set(values) - set(types))
     if unknown:
         raise ValueError(
             f"unknown key(s) {', '.join(unknown)} in {path}; "
-            f"accepted keys: {', '.join(_CONFIG_TYPES)}"
+            f"accepted keys: {', '.join(types)}"
         )
     for key, value in values.items():
-        expected, check = _CONFIG_TYPES[key]
+        expected, check, _ = types[key]
         if not check(value):
             raise ValueError(f"{key} in {path} must be {expected}, got {value!r}")
     return values
@@ -422,35 +420,15 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     defaults of ExperimentConfig and EvolutionConfig are the only ones.
     """
     values = _read_config_file(args.config) if args.config is not None else {}
-    for key in _CONFIG_TYPES:
-        flag_value = getattr(args, key)
-        # The two store_true flags read False when absent.
-        if flag_value is not None and flag_value is not False:
-            values[key] = flag_value
-
-    def given(**fields) -> dict:
-        # Config key -> dataclass field, for the keys that were given.
-        return {name: values[key] for key, name in fields.items() if key in values}
-
-    ea = EvolutionConfig(
-        **given(
-            ea_generations="generations",
-            ea_lambda="lambda_",
-            ea_sims="sims_per_eval",
-            ea_alpha="alpha",
-            ea_beta="beta",
-        )
-    )
-    kwargs = given(
-        iterations="iterations",
-        runs="runs",
-        bins="bins",
-        seed="base_seed",
-        workers="workers",
-        visit_weighted="visit_weighted",
-    )
-    if "out" in values:
-        kwargs["out_dir"] = Path(values["out"])
+    fields: dict = {_EXP: {}, _EA: {}}
+    for key, _, target, _ in _OPTIONS:
+        if getattr(args, key) is not None:
+            values[key] = getattr(args, key)
+        if target is not None and key in values:
+            owner, name = target
+            fields[owner][name] = values[key]
+    ea = EvolutionConfig(**fields[_EA])
+    kwargs = fields[_EXP]
     if "functions" in values:
         functions = values["functions"]
         if isinstance(functions, str):

@@ -69,6 +69,10 @@ class EvolutionConfig:
             raise ValueError("generations must be >= 0")
         if self.sims_per_eval < 1:
             raise ValueError("sims_per_eval must be >= 1")
+        # With alpha = -inf every gap to alpha is inf, so the semantic
+        # branch would log a uniform pick among all tied offspring.
+        if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
+            raise ValueError(f"alpha and beta must be finite, got {self.alpha} and {self.beta}")
         if not self.alpha < self.beta:
             raise ValueError("alpha must be < beta")
         if self.max_depth < 1:

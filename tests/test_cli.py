@@ -5,10 +5,12 @@ import json
 import math
 import random
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from evomcts import cli
 from evomcts.analysis import aggregate, run_report
 from evomcts.bench import FunctionEnv
 from evomcts.cli import (
@@ -242,6 +244,33 @@ class TestRunExperiment:
             f"[{k + 1}/3] f1_{SQRT2_LABEL} run {k}" for k in range(3)
         ]
 
+    @pytest.mark.parametrize(
+        "workers, runs, started",
+        [(64, 1, []), (64, 3, [3]), (2, 3, [2]), (1, 3, [])],
+    )
+    def test_pool_is_sized_by_the_work(self, tmp_path, monkeypatch, workers, runs, started):
+        # The pool forks all its workers up front, so --workers 64 on a
+        # one-run grid used to fork 64 idle processes.
+        pools = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        run_experiment(_uct_cfg(tmp_path, runs=runs, iterations=20, workers=workers))
+        assert pools == started
+        assert len(list((tmp_path / "logs").iterdir())) == runs
+
     def test_visit_weighted_export(self, tmp_path):
         cfg = _uct_cfg(tmp_path, visit_weighted=True, bins=50)
         run_experiment(cfg)
@@ -319,6 +348,21 @@ class TestMain:
         else:
             cfg_path = tmp_path / "cfg.json"
             cfg_path.write_text(json.dumps({"allow_any_c": True, "agents": [f"uct:{c}"]}))
+            argv += ["--config", str(cfg_path)]
+        code = main([*argv, "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_non_finite_ea_bounds_exit_2(self, tmp_path, capsys, via):
+        argv = ["--functions", "f1", "--agents", "siea", "--runs", "1"]
+        if via == "flag":
+            argv += ["--ea-alpha=-inf", "--ea-beta", "inf"]
+        else:
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_text(json.dumps({"ea_beta": math.inf}))
+            assert "Infinity" in cfg_path.read_text()
             argv += ["--config", str(cfg_path)]
         code = main([*argv, "--out", str(tmp_path / "out")])
         assert code == 2
@@ -448,3 +492,84 @@ class TestMain:
         assert code == 0
         assert (tmp_path / "out" / "f1_uct_c2.csv").exists()
         assert not (tmp_path / "out" / "f2_uct_c2.csv").exists()
+
+
+# Each option once: (config key, flag value, config value, a second config
+# value, the config the option alone must produce).  The target fields are
+# written out here, not read from the parser, so a row routed to the wrong
+# field (ea_sims onto generations, say) fails; allow_any_c shows itself
+# through an agent outside the canonical set.
+_ROUTES = [
+    ("functions", "f2,f3", ["f2", "f3"], ["f4"], dict(functions=["f2", "f3"])),
+    (
+        "agents",
+        "uct:2,siea",
+        ["uct:2", "siea"],
+        "uct:3",
+        dict(agents=[AgentSpec("uct", 2.0), AgentSpec("siea")]),
+    ),
+    ("iterations", "7000", 7000, 8000, dict(iterations=7000)),
+    ("runs", "3", 3, 4, dict(runs=3)),
+    ("bins", "7", 7, 8, dict(bins=7)),
+    ("seed", "9", 9, 10, dict(base_seed=9)),
+    ("ea_generations", "3", 3, 4, dict(ea=EvolutionConfig(generations=3))),
+    ("ea_lambda", "5", 5, 6, dict(ea=EvolutionConfig(lambda_=5))),
+    ("ea_sims", "7", 7, 8, dict(ea=EvolutionConfig(sims_per_eval=7))),
+    ("ea_alpha", "2.5", 2.5, 1.5, dict(ea=EvolutionConfig(alpha=2.5))),
+    ("ea_beta", "12.5", 12.5, 11, dict(ea=EvolutionConfig(beta=12.5))),
+    ("out", "elsewhere", "elsewhere", "other", dict(out_dir=Path("elsewhere"))),
+    ("workers", "3", 3, 4, dict(workers=3)),
+    ("allow_any_c", None, True, False, dict(agents=[AgentSpec("uct", 0.7)])),
+    ("visit_weighted", None, True, False, dict(visit_weighted=True)),
+]
+
+
+def _routed_config(tmp_path, key, flag_value, config):
+    """Load ``config`` through --config plus the option's flag, which is
+    left out when ``flag_value`` is False and given bare when None."""
+    if key == "allow_any_c":
+        config = {"agents": ["uct:0.7"], **config}
+    argv = []
+    if config:
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        argv += ["--config", str(cfg_path)]
+    if flag_value is not False:
+        argv.append("--" + key.replace("_", "-"))
+        if flag_value is not None:
+            argv.append(flag_value)
+    return _load_config(_build_parser().parse_args(argv))
+
+
+class TestOptionRouting:
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    @pytest.mark.parametrize("key, flag_value, value, other, want", _ROUTES, ids=[r[0] for r in _ROUTES])
+    def test_option_reaches_its_field(self, tmp_path, via, key, flag_value, value, other, want):
+        if via == "flag":
+            cfg = _routed_config(tmp_path, key, flag_value, {})
+        else:
+            cfg = _routed_config(tmp_path, key, False, {key: value})
+        assert cfg == ExperimentConfig(**want)
+
+    @pytest.mark.parametrize("key, flag_value, value, other, want", _ROUTES, ids=[r[0] for r in _ROUTES])
+    def test_flag_beats_config(self, tmp_path, key, flag_value, value, other, want):
+        assert _routed_config(tmp_path, key, flag_value, {key: other}) == ExperimentConfig(**want)
+
+    def test_every_option_is_routed(self):
+        keys = [r[0] for r in _ROUTES]
+        flags = {s for a in _build_parser()._actions for s in a.option_strings}
+        assert flags - {"-h", "--help", "--config"} == {"--" + k.replace("_", "-") for k in keys}
+
+
+def test_readme_flag_table_matches_the_parser():
+    # The first column of README's CLI table names every flag once, so an
+    # option added to the parser cannot go undocumented.
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    documented = {
+        flag
+        for line in readme.split("\n## CLI\n", 1)[1].splitlines()
+        if line.startswith("| `--")
+        for flag in re.findall(r"`(--[a-z][a-z-]*)", line.split("|")[1])
+    }
+    parsed = {s for a in _build_parser()._actions for s in a.option_strings}
+    assert documented == parsed - {"-h", "--help"}

@@ -204,6 +204,16 @@ class TestEvolutionConfig:
         with pytest.raises(ValueError):
             EvolutionConfig(alpha=10.0, beta=10.0)
 
+    @pytest.mark.parametrize(
+        "alpha, beta",
+        [(-math.inf, math.inf), (-math.inf, 10.0), (5.0, math.inf), (math.nan, 10.0), (5.0, math.nan)],
+    )
+    def test_non_finite_bounds_rejected(self, alpha, beta):
+        # alpha = -inf, beta = inf used to pass: every gap abs(d - alpha)
+        # was inf, so a uniform pick was logged as "semantic".
+        with pytest.raises(ValueError, match="must be finite"):
+            EvolutionConfig(alpha=alpha, beta=beta)
+
 
 class TestEvolve:
     def test_zero_generations_returns_seed(self):
