@@ -8,7 +8,9 @@ UCB1 selection ("uct:<c>") or an evolved selection formula ("siea").
 Seeding: every run derives its own seed as the first 8 bytes of
 sha256("<base_seed>:<function>:<agent_label>:<run_index>"), so any
 single run can be reproduced in isolation and results do not depend on
-scheduling order or worker count.
+scheduling order or worker count.  A run's log header is the task its
+worker executes, so the header alone replays the run (with the EA
+settings for a siea run).
 """
 
 from __future__ import annotations
@@ -144,81 +146,43 @@ def derive_run_seed(base_seed: int, function_id: str, agent_label: str, run_inde
     return int.from_bytes(hashlib.sha256(key).digest()[:8], "little")
 
 
-def _execute_run(payload: dict) -> dict:
-    """Run one search; plain-data in, plain-data out (process-safe)."""
-    rng = random.Random(payload["seed"])
-    env = FunctionEnv(payload["function"])
-    if payload["kind"] == "uct":
-        root, log = run_search(env, UctPolicy(payload["c"]), payload["iterations"], rng)
-        history = None
-        best_expr = None
-        best_fitness = None
-        log_span = payload["iterations"]
+def _execute_run(task: tuple) -> tuple:
+    """Run one search from its log header; plain data in and out (process-safe).
+
+    ``task`` is ``(header, ea, visit_bins)``: the run's ``{"type": "run"}``
+    log record, the EvolutionConfig fields of a siea run (None for uct),
+    and the bin count of the visit-weighted histogram (None for none).
+    Returns ``(records, visit_counts)``: the run's log records in order
+    (header, generations and evolved formula for siea, expansions,
+    summary) and the visit-weighted counts, or None.
+    """
+    header, ea, visit_bins = task
+    rng = random.Random(header["seed"])
+    env = FunctionEnv(header["function"])
+    records = [header]
+    if header["kind"] == "uct":
+        root, log = run_search(env, UctPolicy(header["c"]), header["iterations"], rng)
     else:
-        ea = EvolutionConfig(**payload["ea"])
         root, log, best, history = run_siea_search(
-            env, ea, payload["post_iterations"], rng
+            env, EvolutionConfig(**ea), header["post_iterations"], rng
         )
-        best_expr = str(best.expression)
-        best_fitness = best.fitness
-        log_span = payload["post_iterations"]
-    result = {
-        "log": [[i, x] for i, x in log],
-        "log_span": log_span,
-        "history": history,
-        "best_expr": best_expr,
-        "best_fitness": best_fitness,
-        "reward_draws": env.reward_draws,
-        "root_visits": root.visits,
-        "node_count": root.count_nodes(),
-        "best_child_centre": env.centre(best_child(root, rng).state),
-    }
-    if payload["visit_bins"]:
-        result["visit_counts"] = visit_weighted_counts(root, env, payload["visit_bins"]).tolist()
-    return result
-
-
-def _write_run_log(path: Path, payload: dict, result: dict) -> None:
-    lines = [
-        {
-            "type": "run",
-            "config_id": payload["config_id"],
-            "function": payload["function"],
-            "agent": payload["agent_label"],
-            "kind": payload["kind"],
-            "c": payload["c"],
-            "seed": payload["seed"],
-            "run_index": payload["run_index"],
-            "iterations": payload["iterations"],
-            "post_iterations": payload["post_iterations"],
-        }
-    ]
-    if result["history"] is not None:
-        for record in result["history"]:
-            lines.append({"type": "generation", **record})
-        lines.append(
-            {"type": "evolved", "expr": result["best_expr"], "fitness": result["best_fitness"]}
-        )
-    lines.append(
-        {
-            "type": "expansions",
-            "iterations": [i for i, _ in result["log"]],
-            "centres": [x for _, x in result["log"]],
-        }
+        records += [{"type": "generation", **record} for record in history]
+        records.append({"type": "evolved", "expr": str(best.expression), "fitness": best.fitness})
+    records.append(
+        {"type": "expansions", "iterations": [i for i, _ in log], "centres": [x for _, x in log]}
     )
-    lines.append(
+    records.append(
         {
             "type": "summary",
-            "reward_draws": result["reward_draws"],
-            "root_visits": result["root_visits"],
-            "node_count": result["node_count"],
-            "best_child_centre": result["best_child_centre"],
+            "reward_draws": env.reward_draws,
+            "root_visits": root.visits,
+            "node_count": root.count_nodes(),
+            "best_child_centre": env.centre(best_child(root, rng).state),
         }
     )
-    with open(path, "w") as fh:
-        for line in lines:
-            fh.write(json.dumps(line, sort_keys=True))
-            fh.write("\n")
+    if visit_bins is None:
+        return records, None
+    return records, visit_weighted_counts(root, env, visit_bins).tolist()
 
 
 def run_experiment(cfg: ExperimentConfig) -> dict:
@@ -233,27 +197,25 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     logs_dir = out_dir / "logs"
     logs_dir.mkdir(parents=True, exist_ok=True)
 
+    visit_bins = cfg.bins if cfg.visit_weighted else None
     tasks = []
     for function in cfg.functions:
         for agent in cfg.agents:
-            config_id = f"{function}_{agent.label}"
+            siea = agent.kind == "siea"
             for run_index in range(cfg.runs):
-                payload = {
-                    "config_id": config_id,
+                header = {
+                    "type": "run",
+                    "config_id": f"{function}_{agent.label}",
                     "function": function,
-                    "agent_label": agent.label,
+                    "agent": agent.label,
                     "kind": agent.kind,
                     "c": agent.c,
-                    "run_index": run_index,
                     "seed": derive_run_seed(cfg.base_seed, function, agent.label, run_index),
+                    "run_index": run_index,
                     "iterations": cfg.iterations,
-                    "post_iterations": cfg.post_iterations if agent.kind == "siea" else None,
-                    "ea": None,
-                    "visit_bins": cfg.bins if cfg.visit_weighted else None,
+                    "post_iterations": cfg.post_iterations if siea else None,
                 }
-                if agent.kind == "siea":
-                    payload["ea"] = dataclasses.asdict(cfg.ea)
-                tasks.append(payload)
+                tasks.append((header, dataclasses.asdict(cfg.ea) if siea else None, visit_bins))
 
     started = time.monotonic()
     per_config: dict = {}
@@ -266,18 +228,21 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     with pool or contextlib.nullcontext():
         results = map(_execute_run, tasks) if pool is None else pool.map(_execute_run, tasks)
-        for k, (payload, result) in enumerate(zip(tasks, results), 1):
-            cid = payload["config_id"]
-            log_name = f"{cid}_run{payload['run_index']:03d}.jsonl"
-            _write_run_log(logs_dir / log_name, payload, result)
-            report = run_report(
-                [(i, x) for i, x in result["log"]], result["log_span"], cfg.bins, cid
-            )
-            per_config.setdefault(cid, []).append(report)
-            if "visit_counts" in result:
-                visit_rows.setdefault(cid, []).append(result["visit_counts"])
+        for k, (records, visit_counts) in enumerate(results, 1):
+            header, expansions = records[0], records[-2]
+            cid = header["config_id"]
+            with open(logs_dir / f"{cid}_run{header['run_index']:03d}.jsonl", "w") as fh:
+                for record in records:
+                    fh.write(json.dumps(record, sort_keys=True))
+                    fh.write("\n")
+            # post_iterations is None for a uct run, which logs every iteration.
+            span = header["post_iterations"] or header["iterations"]
+            log = list(zip(expansions["iterations"], expansions["centres"]))
+            per_config.setdefault(cid, []).append(run_report(log, span, cfg.bins, cid))
+            if visit_counts is not None:
+                visit_rows.setdefault(cid, []).append(visit_counts)
             print(
-                f"[{k}/{len(tasks)}] {cid} run {payload['run_index']} "
+                f"[{k}/{len(tasks)}] {cid} run {header['run_index']} "
                 f"({time.monotonic() - started:.1f}s elapsed)",
                 file=sys.stderr,
             )

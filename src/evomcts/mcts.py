@@ -5,19 +5,16 @@ The engine is generic over an environment object providing
 playout(s, rng) / sample_reward(s, rng) / centre(s)``; ``playout``
 walks uniformly at random from ``s`` to a terminal state and returns it.
 
-A selection policy is any callable ``policy(q, n_parent, n_child) ->
-float`` scoring one visited child from its mean reward ``q``, its
-parent's visit count and its own visit count (both ints >= 1, the fields
-of :class:`~evomcts.expr.NodeContext`); the highest score wins, and a
-policy must give at least one child a score above -inf.  A policy may
-also provide ``best_children(n_parent, children) -> list``, which scores
-all children of one node at once and returns those tied at the top
-score in creation order (the same ``>`` and ``==`` comparisons as
-scoring them one by one), or an empty list when no child scores above
--inf; ``select`` then asks it once per node instead of calling the
-policy once per child.  Two policies are provided: closed-form UCB1
-with a fixed exploration constant, and an expression tree compiled into
-a per-node chooser.
+A selection policy provides ``best_children(n_parent, children) ->
+list``: it scores every visited child of one node from its mean reward
+``q``, the parent's visit count and its own visit count (both ints >= 1,
+the fields of :class:`~evomcts.expr.NodeContext`), and returns the
+children tied at the top score in creation order, or an empty list when
+no child scores above -inf; ``select`` asks it once per node.  Two
+policies are provided: closed-form UCB1 with a fixed exploration
+constant, and an expression tree compiled into a per-node chooser.
+Each also scores one child when called as ``policy(q, n_parent,
+n_child)``, the reference its ``best_children`` reproduces bit for bit.
 
 RNG protocol (all determinism and the trace tests rest on this): the
 engine draws from a single ``random.Random`` stream, always via
@@ -33,7 +30,6 @@ are the same.
 
 from __future__ import annotations
 
-import functools
 import math
 import random
 
@@ -147,20 +143,6 @@ def create_root(env) -> SearchNode:
     return SearchNode(state, untried=untried)
 
 
-def _best_children(policy, n_parent: int, children: list) -> list:
-    # The chooser for a policy without ``best_children``: one call per child.
-    best_score = -math.inf
-    ties: list = []
-    for child in children:
-        score = policy(child.total_reward / child.visits, n_parent, child.visits)
-        if score > best_score:
-            best_score = score
-            ties = [child]
-        elif score == best_score:
-            ties.append(child)
-    return ties if best_score != -math.inf else []
-
-
 def select(root: SearchNode, policy, rng: random.Random) -> SearchNode:
     """Descend by policy score until an expandable or terminal node.
 
@@ -169,9 +151,7 @@ def select(root: SearchNode, policy, rng: random.Random) -> SearchNode:
     Raises ValueError when the policy scores no child above -inf (for
     instance when it returns NaN).
     """
-    choose = getattr(policy, "best_children", None)
-    if choose is None:
-        choose = functools.partial(_best_children, policy)
+    choose = policy.best_children
     node = root
     while not node.untried and node.children:
         ties = choose(node.visits, node.children)

@@ -23,7 +23,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .expr import DEFAULT_MAX_DEPTH, Expression, mutate, uct_seed
+from .expr import Expression, mutate, uct_seed
 from .mcts import ExpressionPolicy, create_root, run_iteration, run_search
 
 __all__ = [
@@ -60,7 +60,6 @@ class EvolutionConfig:
     sims_per_eval: int = 30
     alpha: float = 5.0
     beta: float = 10.0
-    max_depth: int = DEFAULT_MAX_DEPTH
 
     def __post_init__(self):
         if self.lambda_ < 1:
@@ -75,8 +74,6 @@ class EvolutionConfig:
             raise ValueError(f"alpha and beta must be finite, got {self.alpha} and {self.beta}")
         if not self.alpha < self.beta:
             raise ValueError("alpha must be < beta")
-        if self.max_depth < 1:
-            raise ValueError("max_depth must be >= 1")
 
     @property
     def eval_budget(self) -> int:
@@ -171,7 +168,7 @@ def evolve(env, config: EvolutionConfig, rng: random.Random):
     best = parent
     history: list = []
     for generation in range(1, config.generations + 1):
-        exprs = [mutate(parent.expression, rng, config.max_depth) for _ in range(config.lambda_)]
+        exprs = [mutate(parent.expression, rng) for _ in range(config.lambda_)]
         offspring = [evaluate_individual(e, env, config.sims_per_eval, rng) for e in exprs]
         index, branch = select_parent(offspring, parent, config.alpha, config.beta, rng)
         for child in offspring:
@@ -202,12 +199,7 @@ def evolve(env, config: EvolutionConfig, rng: random.Random):
     return best, history
 
 
-def run_siea_search(
-    env,
-    config: EvolutionConfig,
-    post_iterations: int = 2600,
-    rng: random.Random | None = None,
-):
+def run_siea_search(env, config: EvolutionConfig, post_iterations: int, rng: random.Random):
     """Evolve a formula, then search a fresh tree with it.
 
     Returns ``(root, expansion_log, best, history)``: the final tree and
@@ -216,8 +208,6 @@ def run_siea_search(
     the per-generation history.  Total reward draws are exactly
     ``config.eval_budget + post_iterations``.
     """
-    if rng is None:
-        raise ValueError("an explicit random.Random is required")
     best, history = evolve(env, config, rng)
     root, log = run_search(env, ExpressionPolicy(best.expression), post_iterations, rng)
     return root, log, best, history

@@ -1,6 +1,7 @@
 """Experiment-runner tests: seed derivation, agent parsing, config
 validation, output files, and cross-run/worker determinism."""
 
+import dataclasses
 import json
 import math
 import random
@@ -277,6 +278,24 @@ class TestRunExperiment:
         payload = json.loads((tmp_path / f"f1_{SQRT2_LABEL}.json").read_text())
         assert len(payload["visit_weighted_mean"]) == 50
         assert sum(payload["visit_weighted_mean"]) > 0
+
+    def test_log_header_replays_the_run(self, tmp_path):
+        # The header is the task the worker ran: executing it again must
+        # give back the run's log byte for byte.
+        ea = EvolutionConfig(generations=2, lambda_=2, sims_per_eval=3)
+        argv = ["--functions", "f1,f4", "--agents", "uct:1,siea", "--runs", "2"]
+        argv += ["--iterations", "60", "--bins", "10", "--ea-generations", "2"]
+        argv += ["--ea-lambda", "2", "--ea-sims", "3", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        logs = sorted((tmp_path / "logs").iterdir())
+        assert len(logs) == 8
+        for path in logs:
+            text = path.read_text()
+            header = json.loads(text.splitlines()[0])
+            ea_dict = dataclasses.asdict(ea) if header["kind"] == "siea" else None
+            records, visit_counts = cli._execute_run((header, ea_dict, None))
+            assert "".join(json.dumps(r, sort_keys=True) + "\n" for r in records) == text
+            assert visit_counts is None
 
 
 class TestMain:

@@ -11,7 +11,6 @@ from evomcts.bench import FunctionEnv, IntervalState, eval_function
 from evomcts.expr import K_VALUES, parse, uct_seed
 from evomcts.mcts import (
     ExpressionPolicy,
-    _best_children,
     SearchNode,
     UctPolicy,
     backpropagate,
@@ -28,6 +27,22 @@ from evomcts.mcts import (
 def _leaf_env(**kwargs):
     """Environment whose root interval is already terminal."""
     return FunctionEnv(kwargs.pop("function", "f1"), threshold=2.0, **kwargs)
+
+
+def _best_children(policy, n_parent, children):
+    """Reference chooser: score each child with ``policy(q, n_parent,
+    n_child)`` and keep the ties at the top score, as ``best_children``
+    must."""
+    best_score = -math.inf
+    ties = []
+    for child in children:
+        score = policy(child.total_reward / child.visits, n_parent, child.visits)
+        if score > best_score:
+            best_score = score
+            ties = [child]
+        elif score == best_score:
+            ties.append(child)
+    return ties if best_score != -math.inf else []
 
 
 def _stats_root(child_stats):
@@ -162,20 +177,25 @@ class TestSelect:
         env1, env2 = FunctionEnv("f1"), FunctionEnv("f1")
         root1, log1 = run_search(env1, base, 400, random.Random(57))
 
-        def doubled(q, n_parent, n_child):
-            return 2.0 * base(q, n_parent, n_child)
+        class Doubled:
+            def __call__(self, q, n_parent, n_child):
+                return 2.0 * base(q, n_parent, n_child)
 
-        root2, log2 = run_search(env2, doubled, 400, random.Random(57))
+            def best_children(self, n_parent, children):
+                return _best_children(self, n_parent, children)
+
+        root2, log2 = run_search(env2, Doubled(), 400, random.Random(57))
         assert log1 == log2
         assert tree_signature(root1) == tree_signature(root2)
 
     def test_policy_scoring_no_child_rejected(self):
-        # A NaN score is never the best, so without a check the tie list
-        # stays empty and the tie-break draws from an empty range.
-        root = _stats_root([(5, 2.0), (5, 2.0)])
+        # A NaN mean reward makes every UCB1 score NaN, which is never the
+        # best, so without a check the tie list stays empty and the
+        # tie-break draws from an empty range.
+        root = _stats_root([(5, math.nan), (5, math.nan)])
         root.visits = 10
         with pytest.raises(ValueError, match="above -inf"):
-            select(root, lambda q, n_parent, n_child: math.nan, random.Random(59))
+            select(root, UctPolicy(1.0), random.Random(59))
 
     @pytest.mark.parametrize(
         "policy, total",
@@ -186,7 +206,6 @@ class TestSelect:
             # must still count as no child above -inf.
             (ExpressionPolicy(parse("Q")), -math.inf),
             (UctPolicy(1.0), -math.inf),
-            (lambda q, n_parent, n_child: -math.inf, 2.0),
         ],
     )
     def test_no_child_above_minus_inf_rejected(self, policy, total):

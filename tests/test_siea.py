@@ -323,5 +323,5 @@ class TestRunSieaSearch:
         assert outcomes[0] == outcomes[1]
 
     def test_rng_required(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             run_siea_search(FunctionEnv("f1"), EvolutionConfig(**self.CFG), 10)
