@@ -14,7 +14,13 @@ blank line between tertile blocks so gnuplot sees separate datasets).
 The bytes of all three are a contract: ``tests/test_analysis.py``
 compares them with the per-cell writers the module first shipped, and
 pins the sha256 of every file of a small grid.  The writers read each
-report once through ``tolist()``, so no cell goes through numpy.
+report once through ``tolist()``, so no cell goes through numpy, and
+build each file as one string with the per-value work done in C: CSV
+and gnuplot rows are joined from shared prefixes and ``repr``s, and the
+JSON layout is ``json.dump(indent=2, sort_keys=True)``'s, with every
+list of scalars sent through json's C encoder (which ``json.dump`` only
+uses without ``indent``) by carrying the newline and indent in the item
+separator.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -204,6 +211,7 @@ _CSV_FIELDS = (
     "bin_high",
     "mean_count",
 )
+_CSV_HEADER = ",".join(_CSV_FIELDS) + "\r\n"
 
 
 def _count_rows(report: HistogramReport) -> list:
@@ -221,20 +229,48 @@ def write_csv(report: HistogramReport, path, meta: dict) -> None:
         [report.config_id, meta["function"], meta["policy"], meta["c_or_evolved"], meta["run_seed"]]
     )
     head = line.getvalue()[: -len("\r\n")]
-    edges = [repr(e) for e in report.edges.tolist()]
-    spans = [f"{lo},{hi}" for lo, hi in zip(edges, edges[1:])]
+    edges = list(map(repr, report.edges.tolist()))
+    spans = [f",{i},{lo},{hi}," for i, (lo, hi) in enumerate(zip(edges, edges[1:]))]
+    text = "".join(
+        "".join(map("".join, zip(repeat(f"{head},{t}"), spans, map(repr, counts), repeat("\r\n"))))
+        for t, counts in enumerate(_count_rows(report))
+    )
     with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerow(_CSV_FIELDS)
-        for t, counts in enumerate(_count_rows(report)):
-            fh.write(
-                "".join(
-                    f"{head},{t},{i},{span},{count!r}\r\n"
-                    for i, (span, count) in enumerate(zip(spans, counts))
-                )
-            )
+        fh.write(_CSV_HEADER + text)
+
+
+_JSON_CONTAINERS = (dict, list, tuple)
+
+
+def _json_layout(value, pad: str) -> str:
+    """``value`` laid out as ``json.dump(indent=2, sort_keys=True)`` lays
+    it out when it starts at indent ``pad``.  A list holding no container
+    goes through one C-encoder call whose item separator is a comma, a
+    newline and the item indent.
+    """
+    inner = pad + "  "
+    if isinstance(value, dict):
+        brackets = "{}"
+        items = [f"{json.dumps(key)}: {_json_layout(value[key], inner)}" for key in sorted(value)]
+    elif isinstance(value, (list, tuple)):
+        brackets = "[]"
+        if any(issubclass(kind, _JSON_CONTAINERS) for kind in set(map(type, value))):
+            items = [_json_layout(item, inner) for item in value]
+        else:
+            items = [json.dumps(value, separators=(",\n" + inner, ": "))[1:-1]]
+    else:
+        return json.dumps(value)
+    if not value:
+        return brackets
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}{brackets[1]}"
 
 
 def write_json(report: HistogramReport, path, meta: dict) -> None:
+    """The report and ``meta`` as one JSON object, byte for byte as
+    ``json.dump(payload, fh, indent=2, sort_keys=True)`` plus a newline
+    writes it.  The number arrays go through json's C encoder, with the
+    indent carried in the item separator (see ``_json_layout``).
+    """
     payload = {
         "config_id": report.config_id,
         "bins": report.bins,
@@ -243,19 +279,17 @@ def write_json(report: HistogramReport, path, meta: dict) -> None:
         "tertile_counts": _count_rows(report),
         **meta,
     }
+    text = _json_layout(payload, "")
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(f"{text}\n")
 
 
 def write_plotdata(report: HistogramReport, path) -> None:
     """3 columns (bin_mid, tertile, mean_count), blank line per tertile."""
-    mids = [repr(m) for m in report.midpoints().tolist()]
+    prefixes = [f"{mid!r} " for mid in report.midpoints().tolist()]
     blocks = [
-        "\n".join(f"{mid} {t} {count!r}" for mid, count in zip(mids, counts))
+        "".join(map("".join, zip(prefixes, repeat(f"{t} "), map(repr, counts), repeat("\n"))))
         for t, counts in enumerate(_count_rows(report))
     ]
     with open(path, "w") as fh:
-        fh.write("# bin_mid tertile mean_count\n")
-        fh.write("\n\n".join(blocks))
-        fh.write("\n")
+        fh.write("# bin_mid tertile mean_count\n" + "\n".join(blocks))

@@ -24,6 +24,7 @@ import math
 import random
 import sys
 import time
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -419,7 +420,8 @@ def main(argv=None) -> int:
     except FileExistsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:
+        traceback.print_exc()
         print(f"run failed: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -4,6 +4,7 @@ aggregation, peak measurements, and the export formats."""
 import csv
 import hashlib
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -259,7 +260,8 @@ class TestExports:
         report = self._report()
         path = tmp_path / "out.csv"
         write_csv(report, path, self.META)
-        rows = list(csv.reader(path.open()))
+        with path.open(newline="") as fh:
+            rows = list(csv.reader(fh))
         assert rows[0] == [
             "config_id",
             "function",
@@ -456,6 +458,28 @@ class TestExportBytes:
             {"function": "f2", "policy": "siea", "c_or_evolved": text, "run_seed": 0},
         ):
             _assert_same_bytes(report, meta)
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            {"visit_weighted_mean": [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e308]},
+            {"visit_weighted_mean": []},
+            {"empty": [], "nested": [[], [1.5, -0.0], [[2, [3]], "x"], [math.nan]]},
+            {"mixed": [1, [2.5, None], True, "t\u00e9xt", {"b": [1e-7], "a": {}}]},
+            {"text": "caf\u00e9 \u2603 \U0001f600 tab\t nul\x00 bell\x07 del\x7f \"q\" \\"},
+            {"caf\u00e9 \u2603 \n\x01": ["\u00e9", "\x1f", "\U0001f600"]},
+            {"run_seed": 2**64 + 1, "big": [2**64, -(2**100), 10**40]},
+        ],
+        ids=["non-finite", "empty-list", "list-of-lists", "mixed", "escapes", "key-escapes", "ints"],
+    )
+    @pytest.mark.parametrize("bins", [1, 7])
+    def test_json_meta_values_the_layout_handles(self, extra, bins):
+        # The JSON writer lays out dicts and lists itself and sends scalar
+        # lists through the C encoder; json.dump(indent=2) is the reference.
+        log = [(i, (i % 10) / 10 + 0.05) for i in range(60)]
+        report = aggregate([run_report(log, 60, bins, "cfg"), run_report(log[:7], 60, bins, "cfg")])
+        meta = {"function": "f1", "policy": "uct", "c_or_evolved": -0.0, "run_seed": 3, **extra}
+        _assert_same_bytes(report, meta)
 
 
 # sha256 of every file the grid below writes, computed before the writers

@@ -417,6 +417,20 @@ class TestMain:
         assert f"output directory {a_file} is not new or empty" in capsys.readouterr().err
         assert a_file.read_text() == "x"
 
+    def test_run_failure_prints_the_traceback_and_exits_1(self, tmp_path, capsys, monkeypatch):
+        # The boundary used to print only "run failed: <message>", so a crash
+        # in a search or a pool worker left no trace of where it happened.
+        def crash(cfg):
+            raise RuntimeError("search blew up")
+
+        monkeypatch.setattr(cli, "run_experiment", crash)
+        argv = ["--functions", "f1", "--agents", "uct:1", "--runs", "1", "--iterations", "20"]
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback (most recent call last)" in err
+        assert 'raise RuntimeError("search blew up")' in err
+        assert err.rstrip().endswith("run failed: search blew up")
+
     def test_help_quotes_the_dataclass_defaults(self, capsys):
         with pytest.raises(SystemExit):
             main(["--help"])
