@@ -17,13 +17,14 @@ with ``repr`` so no precision is lost).
 
 :func:`evaluate` interprets a tree node by node and is the reference.
 :func:`compile_chooser` turns a tree into Python source once, for the
-search, which scores it many times: ``best_children(n_parent,
-children)`` scores all children of one search node with results
-bit-identical to :func:`evaluate`.  Every operator is written inline
-(protected division as ``1.0 if abs(b) < 0.001 else a / b``, protected
-log as ``0.0 if ax < 0.001 else log(ax)``, saturation as a conditional
-at +-1e300), with no helper calls, and the subtrees that read only
-``Np`` and constants are computed once per node, before the child loop.
+search, which scores it many times: ``descend(node, rng)`` walks a
+search tree from ``node`` to the node to expand in one call, scoring
+the children at each level with results bit-identical to
+:func:`evaluate`.  Every operator is written inline (protected division
+as ``1.0 if abs(b) < 0.001 else a / b``, protected log as ``0.0 if ax <
+0.001 else log(ax)``, saturation as a conditional at +-1e300) rather
+than as a helper call, and the subtrees that read only ``Np`` and
+constants are computed once per level, before the child loop.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ __all__ = [
     "protected_log",
     "protected_sqrt",
     "evaluate",
+    "draw_index",
     "compile_chooser",
     "uct_seed",
     "random_subtree",
@@ -228,6 +230,22 @@ def evaluate(expression: Expression, ctx: NodeContext) -> float:
     return expression.root._eval(ctx.q, ctx.n_parent, ctx.n_child)
 
 
+def draw_index(rng: random.Random, n: int) -> int:
+    """The index ``rng.randrange(n)`` would draw, for ``n >= 1``.
+
+    Written as CPython 3.11's ``randrange(n)`` draws it:
+    ``getrandbits(n.bit_length())``, drawn again while the value is
+    ``>= n``.  The value and the RNG state afterwards are the same as
+    with ``randrange``, without its two Python-level frames.  The search
+    engine and the compiled descent make every index pick through it.
+    """
+    k = n.bit_length()
+    i = rng.getrandbits(k)
+    while i >= n:
+        i = rng.getrandbits(k)
+    return i
+
+
 # Compiled formulas write every operator inline, as the statements below
 # (``{r}`` the result, ``{a}``/``{b}`` the operands), with each comparison
 # in the direction and order the interpreter makes it, so NaN and -0.0
@@ -248,23 +266,53 @@ _OP_CODE = {
     "sqrt": ("{r} = sqrt(abs({a}))",),
 }
 _VAR_CODE = {"Q": ("q", True), "Np": ("n_parent", False), "Nc": ("n_child", True)}
-_COMPILED_GLOBALS = {"log": math.log, "sqrt": math.sqrt, "_NEG_INF": -math.inf}
 
 
-def _emit(node, per_node: list, per_child: list) -> tuple:
+# The compiled descent's steps that are the same for every formula live
+# in these two helpers rather than in its source: compile() charges for
+# every statement and branch, and a search compiles a formula for every
+# offspring it evaluates.
+def _add_tie(ties, pick, child):
+    # ``ties`` is None until a second child reaches the top score.
+    if ties is None:
+        return [pick, child]
+    ties.append(child)
+    return ties
+
+
+def _next_node(pick, ties, rng):
+    # ``pick`` is None when no child scored above -inf: it is set only on
+    # a score above the running best, which starts at -inf.
+    if pick is None:
+        raise ValueError("formula scored no child above -inf")
+    return pick if ties is None else ties[draw_index(rng, len(ties))]
+
+
+_COMPILED_GLOBALS = {
+    "log": math.log,
+    "sqrt": math.sqrt,
+    "_LEVEL_START": (-math.inf, None, None),  # best, pick, ties
+    "_add_tie": _add_tie,
+    "_next_node": _next_node,
+}
+
+
+def _emit(node, per_node: list, per_child: list, reads: set) -> tuple:
     # Returns ``(operand, varies)``: the operand naming this node's value
     # and whether it reads Q or Nc.  Operators whose subtree reads only Np
     # and constants go to ``per_node``, the rest to ``per_child``; each
     # operator writes a fresh name, so no tree is too deep for the compiler.
+    # ``reads`` collects the names of the variables the tree reads.
     kind = type(node)
     if kind is Const:
         return repr(node.value), False
     if kind is Var:
+        reads.add(node.name)
         return _VAR_CODE[node.name]
     operands = []
     varies = False
     for child in node.args:
-        operand, child_varies = _emit(child, per_node, per_child)
+        operand, child_varies = _emit(child, per_node, per_child, reads)
         operands.append(operand)
         varies = varies or child_varies
     name = f"t{len(per_node) + len(per_child)}"
@@ -282,44 +330,61 @@ def _indent(blocks: list, depth: int) -> list:
 
 
 def compile_chooser(expression: Expression):
-    """Build ``best_children(n_parent, children) -> list`` from the tree.
+    """Build the search's ``descend(node, rng) -> node`` from the tree.
 
-    Scores each child ``c`` as ``evaluate(expression, NodeContext(
-    c.total_reward / c.visits, n_parent, c.visits))`` does, bit for bit,
-    and returns the children tied at the top score in creation order, or
-    an empty list when none scores above -inf.  Constants are written
-    with ``repr`` (exact for the finite floats ``Const`` admits), Np and
-    Nc are converted with ``float()`` as ``Var`` does, and each operator
-    is written inline with the protected operators' and the saturation's
-    arithmetic and comparisons.  The operators whose subtree reads only
-    Np and constants run once, before the child loop.
+    From ``node``, while the node has no untried action and has
+    children, scores each child ``c`` as ``evaluate(expression,
+    NodeContext(c.total_reward / c.visits, node.visits, c.visits))``
+    does, bit for bit, and moves to the child with the top score; when
+    several children tie exactly at the top, to the one at
+    ``draw_index(rng, len(ties))`` among them in creation order.  A
+    single winner leaves the RNG untouched, and the list of ties is
+    built only on a tie.  Returns the node it stops at; raises
+    ValueError when no child of a level scores above -inf.
+
+    Constants are written with ``repr`` (exact for the finite floats
+    ``Const`` admits), Np and Nc are converted with ``float()`` as
+    ``Var`` does, and each operator is written inline with the protected
+    operators' and the saturation's arithmetic and comparisons.  The
+    operators whose subtree reads only Np and constants run once per
+    level, before the child loop, and only the statistics the tree reads
+    are fetched.  ``q`` divides by ``float(c.visits)`` when Nc is read
+    too, which gives the same bits as dividing by the int.
     """
     per_node: list = []
     per_child: list = []
-    result, _ = _emit(expression.root, per_node, per_child)
+    reads: set = set()
+    result, _ = _emit(expression.root, per_node, per_child, reads)
+    level_stats = ["        n_parent = float(node.visits)"] if "Np" in reads else []
+    child_stats = []
+    if "Nc" in reads:
+        child_stats.append("            n_child = float(child.visits)")
+    if "Q" in reads:
+        visits = "n_child" if "Nc" in reads else "child.visits"
+        child_stats.append(f"            q = child.total_reward / {visits}")
     source = "\n".join(
         [
-            "def best_children(n_parent, children):",
-            "    n_parent = float(n_parent)",
-            *_indent(per_node, 1),
-            "    best = _NEG_INF",
-            "    ties = []",
-            "    for child in children:",
-            "        n_child = child.visits",
-            "        q = child.total_reward / n_child",
-            "        n_child = float(n_child)",
-            *_indent(per_child, 2),
-            f"        if {result} > best:",
-            f"            best = {result}",
-            "            ties = [child]",
-            f"        elif {result} == best:",
-            "            ties.append(child)",
-            "    return ties if best != _NEG_INF else []",
+            "def descend(node, rng):",
+            "    while not node.untried and node.children:",
+            *level_stats,
+            *_indent(per_node, 2),
+            "        best, pick, ties = _LEVEL_START",
+            "        for child in node.children:",
+            *child_stats,
+            *_indent(per_child, 3),
+            f"            if {result} > best:",
+            f"                best = {result}",
+            "                pick = child",
+            "                ties = None",
+            f"            elif {result} == best:",
+            "                ties = _add_tie(ties, pick, child)",
+            "        node = _next_node(pick, ties, rng)",
+            "    return node",
         ]
     )
     namespace = dict(_COMPILED_GLOBALS)
     exec(compile(source, "<compiled expression>", "exec"), namespace)
-    return namespace["best_children"]
+    return namespace["descend"]
 
 
 def uct_seed(c: float) -> Expression:

@@ -5,27 +5,29 @@ The engine is generic over an environment object providing
 playout(s, rng) / sample_reward(s, rng) / centre(s)``; ``playout``
 walks uniformly at random from ``s`` to a terminal state and returns it.
 
-A selection policy provides ``best_children(n_parent, children) ->
-list``: it scores every visited child of one node from its mean reward
-``q``, the parent's visit count and its own visit count (both ints >= 1,
-the fields of :class:`~evomcts.expr.NodeContext`), and returns the
-children tied at the top score in creation order, or an empty list when
-no child scores above -inf; ``select`` asks it once per node.  Two
+A selection policy provides ``descend(node, rng) -> node``, which
+``select`` calls once per iteration.  From ``node``, while the node has
+no untried action and has children, it scores every child from its mean
+reward ``q``, the parent's visit count and its own visit count (both
+ints >= 1, the fields of :class:`~evomcts.expr.NodeContext`) and moves
+to the child with the top score; it returns the node it stops at, and
+raises ValueError when no child of a level scores above -inf.  Two
 policies are provided: closed-form UCB1 with a fixed exploration
-constant, and an expression tree compiled into a per-node chooser.
-Each also scores one child when called as ``policy(q, n_parent,
-n_child)``, the reference its ``best_children`` reproduces bit for bit.
+constant, and an expression tree compiled into a descent.  Each also
+scores one child when called as ``policy(q, n_parent, n_child)``, the
+reference its ``descend`` reproduces bit for bit.
 
 RNG protocol (all determinism and the trace tests rest on this): the
-engine draws from a single ``random.Random`` stream, always via
-``rng.randrange(n)`` for index picks and ``rng.random()`` for uniform
-floats.  Score ties during selection consult the RNG only when at least
-two children are tied at the maximum (children enumerated in creation
-order); expansion pops a uniformly random untried action; a rollout
-(``env.playout``) makes, per step, the draw ``randrange(branching)``
-would make, written inline with ``getrandbits`` as CPython 3.11's
-``randrange`` does it, so the values and the stream state afterwards
-are the same.
+engine draws from a single ``random.Random`` stream.  Every index pick
+makes the draw ``rng.randrange(n)`` would make, through
+:func:`~evomcts.expr.draw_index`, which writes it with ``getrandbits``
+as CPython 3.11's ``randrange`` does, so the values and the stream state
+afterwards are the same; uniform floats come from ``rng.random()``.
+Score ties during selection consult the RNG only when at least two
+children are tied at the maximum, and pick among the tied children in
+creation order; expansion pops a uniformly random untried action; a
+rollout (``env.playout``) makes, per step, the draw
+``randrange(branching)`` would make, written inline the same way.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from __future__ import annotations
 import math
 import random
 
-from .expr import Expression, NodeContext, compile_chooser, evaluate
+from .expr import Expression, NodeContext, compile_chooser, draw_index, evaluate
 
 __all__ = [
     "SearchNode",
@@ -91,27 +93,41 @@ class UctPolicy:
     def __call__(self, q: float, n_parent: int, n_child: int) -> float:
         return q + self.c * math.sqrt(2.0 * math.log(n_parent) / n_child)
 
-    def best_children(self, n_parent: int, children: list) -> list:
-        """The children tied at the top ``__call__`` score, bit for bit.
+    def descend(self, node: SearchNode, rng: random.Random) -> SearchNode:
+        """Walk down by top ``__call__`` score, bit for bit, to the node
+        to expand (see the module docstring).
 
         ``2.0 * log(n_parent) / n_child`` evaluates left to right, so
         hoisting ``2.0 * log(n_parent)`` out of the child loop leaves
-        every score unchanged.
+        every score unchanged.  The best child is remembered on its own;
+        a list is built only on an exact tie.  The level's end is written
+        out here rather than through the compiled descent's helpers,
+        whose call per level made a descent of a 5,000-iteration tree
+        about 6% slower.
         """
         c = self.c
-        k = 2.0 * math.log(n_parent)
-        sqrt = math.sqrt
-        best = -math.inf
-        ties: list = []
-        for child in children:
-            n = child.visits
-            score = child.total_reward / n + c * sqrt(k / n)
-            if score > best:
-                best = score
-                ties = [child]
-            elif score == best:
-                ties.append(child)
-        return ties if best != -math.inf else []
+        log, sqrt = math.log, math.sqrt
+        neg_inf = -math.inf
+        while not node.untried and node.children:
+            k = 2.0 * log(node.visits)
+            best = neg_inf
+            pick = ties = None
+            for child in node.children:
+                n = child.visits
+                score = child.total_reward / n + c * sqrt(k / n)
+                if score > best:
+                    best = score
+                    pick = child
+                    ties = None
+                elif score == best:
+                    if ties is None:
+                        ties = [pick, child]
+                    else:
+                        ties.append(child)
+            if best == neg_inf:
+                raise ValueError(f"policy {self!r} scored no child above -inf")
+            node = pick if ties is None else ties[draw_index(rng, len(ties))]
+        return node
 
     def __repr__(self):
         return f"UctPolicy(c={self.c!r})"
@@ -120,14 +136,15 @@ class UctPolicy:
 class ExpressionPolicy:
     """Score children with an expression tree.
 
-    ``select`` asks the per-node chooser ``best_children``, compiled
-    here; ``__call__`` scores one child with the interpreter, which is
-    the reference the chooser reproduces bit for bit.
+    ``select`` calls ``descend``, the tree compiled here into one
+    function that walks from the root to the node to expand;
+    ``__call__`` scores one child with the interpreter, which is the
+    reference the descent reproduces bit for bit.
     """
 
     def __init__(self, expression: Expression):
         self.expression = expression
-        self.best_children = compile_chooser(expression)
+        self.descend = compile_chooser(expression)
 
     def __call__(self, q: float, n_parent: int, n_child: int) -> float:
         return evaluate(self.expression, NodeContext(q, n_parent, n_child))
@@ -139,8 +156,7 @@ class ExpressionPolicy:
 def create_root(env) -> SearchNode:
     """Fresh single-node tree for an environment."""
     state = env.initial_state()
-    untried = [] if env.is_terminal(state) else list(env.actions(state))
-    return SearchNode(state, untried=untried)
+    return SearchNode(state, untried=None if env.is_terminal(state) else env.actions(state))
 
 
 def select(root: SearchNode, policy, rng: random.Random) -> SearchNode:
@@ -151,24 +167,17 @@ def select(root: SearchNode, policy, rng: random.Random) -> SearchNode:
     Raises ValueError when the policy scores no child above -inf (for
     instance when it returns NaN).
     """
-    choose = policy.best_children
-    node = root
-    while not node.untried and node.children:
-        ties = choose(node.visits, node.children)
-        if not ties:
-            raise ValueError(f"policy {policy!r} scored no child above -inf")
-        node = ties[0] if len(ties) == 1 else ties[rng.randrange(len(ties))]
-    return node
+    return policy.descend(root, rng)
 
 
 def expand(node: SearchNode, env, rng: random.Random) -> SearchNode:
     """Materialise one uniformly chosen untried action as a new child."""
-    if not node.untried:
+    untried = node.untried
+    if not untried:
         raise ValueError("node has no untried actions")
-    action = node.untried.pop(rng.randrange(len(node.untried)))
+    action = untried.pop(draw_index(rng, len(untried)))
     state = env.apply(node.state, action)
-    untried = [] if env.is_terminal(state) else list(env.actions(state))
-    child = SearchNode(state, parent=node, untried=untried)
+    child = SearchNode(state, node, None if env.is_terminal(state) else env.actions(state))
     node.children.append(child)
     return child
 
@@ -242,4 +251,4 @@ def best_child(root: SearchNode, rng: random.Random) -> SearchNode:
             ties.append(child)
     if not ties:
         raise ValueError("root has no visited children")
-    return ties[0] if len(ties) == 1 else ties[rng.randrange(len(ties))]
+    return ties[0] if len(ties) == 1 else ties[draw_index(rng, len(ties))]

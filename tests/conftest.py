@@ -8,7 +8,9 @@ bug would have to appear twice, identically, to slip through.
 """
 
 import math
+from types import SimpleNamespace
 
+import pytest
 from hypothesis import settings
 
 # Property tests draw the same examples on every run, so a tier-1 result
@@ -24,6 +26,59 @@ settings.load_profile("derandomized")
 def closed_form_uct(q, n_parent, n_child, c):
     """Mean value plus c * sqrt(2 ln(parent visits) / child visits)."""
     return q + c * math.sqrt(2.0 * math.log(n_parent) / n_child)
+
+
+# ----------------------------------------------------------------------
+# One-level descents (reference ties against a policy's ``descend``)
+# ----------------------------------------------------------------------
+
+
+def leaf(visits, total_reward):
+    """Search-node stand-in with an untried action: a descent that moves
+    to it stops there."""
+    return SimpleNamespace(visits=visits, total_reward=total_reward, untried=[0], children=[])
+
+
+def one_level_root(n_parent, children):
+    """Fully expanded root over ``children`` with ``n_parent`` visits."""
+    return SimpleNamespace(visits=n_parent, total_reward=0.0, untried=[], children=list(children))
+
+
+class ScriptedRng:
+    """RNG stand-in whose ``getrandbits(k)`` returns ``i``; records each k."""
+
+    def __init__(self, i):
+        self.i = i
+        self.bits = []
+
+    def getrandbits(self, k):
+        self.bits.append(k)
+        return self.i
+
+
+class UntouchableRng:
+    """RNG stand-in that fails on any use."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"RNG used: {name}")
+
+
+def assert_descent_picks(descend, root, ties):
+    """``descend(root, rng)`` against the reference ``ties`` of a
+    one-level ``root``: the i-th tie in creation order when the RNG's
+    ``getrandbits`` returns i (one draw of ``randrange(len(ties))``'s
+    width), the single winner without touching the RNG, and ValueError
+    when no child scores above -inf."""
+    if not ties:
+        with pytest.raises(ValueError, match="above -inf"):
+            descend(root, UntouchableRng())
+    elif len(ties) == 1:
+        assert descend(root, UntouchableRng()) is ties[0]
+    else:
+        for i, child in enumerate(ties):
+            rng = ScriptedRng(i)
+            assert descend(root, rng) is child, i
+            assert rng.bits == [len(ties).bit_length()]
 
 
 # ----------------------------------------------------------------------

@@ -3,13 +3,12 @@ selection rule, random growth, subtree mutation, and serialisation."""
 
 import math
 import random
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import closed_form_uct
+from conftest import assert_descent_picks, closed_form_uct, leaf, one_level_root
 from evomcts.expr import (
     Const,
     DEFAULT_MAX_DEPTH,
@@ -380,7 +379,7 @@ def _children(draw):
         )
     )
     picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=8))
-    return [SimpleNamespace(visits=pool[i][0], total_reward=pool[i][1]) for i in picks]
+    return [leaf(pool[i][0], pool[i][1]) for i in picks]
 
 
 class _Reward:
@@ -429,8 +428,7 @@ class TestTotalisation:
     def test_chooser_matches_interpreter_ties(self, root, n_parent, children):
         e = Expression(root)
         want = _reference_ties(e, n_parent, children)
-        got = compile_chooser(e)(n_parent, children)
-        assert [id(c) for c in got] == [id(c) for c in want]
+        assert_descent_picks(compile_chooser(e), one_level_root(n_parent, children), want)
 
     @pytest.mark.parametrize("op", ["add", "sub", "mul", "div", "log", "sqrt"])
     def test_compiled_matches_interpreter_on_edges(self, op):
@@ -444,30 +442,28 @@ class TestTotalisation:
         # children must come back in the interpreter's order, ties and
         # NaN (which loses every comparison) included.
         e = Expression(Func(op, (Var("Q"), Var("Nc"))[:arity]))
-        choose = compile_chooser(e)
-        pairs = [SimpleNamespace(visits=n, total_reward=_Reward(q)) for q in edges for n in edges]
+        descend = compile_chooser(e)
+        pairs = [leaf(n, _Reward(q)) for q in edges for n in edges]
         for i, a in enumerate(pairs):
             for b in pairs[i:]:
                 want = _reference_ties(e, 3, [a, b])
-                got = choose(3, [a, b])
-                assert [id(c) for c in got] == [id(c) for c in want], (a, b)
+                assert_descent_picks(descend, one_level_root(3, [a, b]), want)
         # The operator once per child, and once per node.
-        children = [SimpleNamespace(visits=1, total_reward=q) for q in edges]
+        children = [leaf(1, q) for q in edges]
         per_node = Func(op, (Var("Np"), Var("Np"))[:arity])
         for root in (Func(op, (Var("Q"), Var("Np"))[:arity]), Func("sub", (per_node, Var("Q")))):
-            choose = compile_chooser(Expression(root))
+            descend = compile_chooser(Expression(root))
             for n_parent in edges:
                 want = _reference_ties(Expression(root), n_parent, children)
-                got = choose(n_parent, children)
-                assert [id(c) for c in got] == [id(c) for c in want], n_parent
+                assert_descent_picks(descend, one_level_root(n_parent, children), want)
 
     def test_chooser_on_deep_tree(self):
         node = Var("Nc")
         for _ in range(300):
             node = Func("add", (node, Const(0.5)))
-        children = [SimpleNamespace(visits=v, total_reward=0.0) for v in (3, 1, 3)]
-        got = compile_chooser(Expression(node))(7, children)
-        assert got == [children[0], children[2]]
+        children = [leaf(v, 0.0) for v in (3, 1, 3)]
+        root = one_level_root(7, children)
+        assert_descent_picks(compile_chooser(Expression(node)), root, [children[0], children[2]])
 
     def test_compiled_tree_deeper_than_parser_nesting(self):
         # One statement per node: a 300-deep chain would exceed the
@@ -480,9 +476,10 @@ class TestTotalisation:
             node = Func("sqrt", (node,))
         e = Expression(Func("sub", (Var("Q"), Func("mul", (node, Var("Nc"))))))
         assert evaluate(Expression(node), NodeContext(0.5, 7.0, 3.0)) == 1.0
-        children = [SimpleNamespace(visits=v, total_reward=v * v) for v in (1, 2, 3)]
+        children = [leaf(v, v * v) for v in (1, 2, 3)]
         want = _reference_ties(e, 7, children)
-        assert compile_chooser(e)(7, children) == want == children
+        assert want == children
+        assert_descent_picks(compile_chooser(e), one_level_root(7, children), want)
 
     def test_saturation_on_product_towers(self):
         # A balanced tower of 128 multiplied parent counts overflows

@@ -6,9 +6,10 @@ import random
 
 import pytest
 
-from conftest import closed_form_uct, tree_signature
+from conftest import assert_descent_picks, closed_form_uct, tree_signature
+from evomcts import expr, mcts
 from evomcts.bench import FunctionEnv, IntervalState, eval_function
-from evomcts.expr import K_VALUES, parse, uct_seed
+from evomcts.expr import K_VALUES, draw_index, parse, uct_seed
 from evomcts.mcts import (
     ExpressionPolicy,
     SearchNode,
@@ -31,8 +32,8 @@ def _leaf_env(**kwargs):
 
 def _best_children(policy, n_parent, children):
     """Reference chooser: score each child with ``policy(q, n_parent,
-    n_child)`` and keep the ties at the top score, as ``best_children``
-    must."""
+    n_child)`` and keep the ties at the top score, among which each
+    level of a ``descend`` must pick."""
     best_score = -math.inf
     ties = []
     for child in children:
@@ -43,6 +44,18 @@ def _best_children(policy, n_parent, children):
         elif score == best_score:
             ties.append(child)
     return ties if best_score != -math.inf else []
+
+
+def _reference_select(root, policy, rng):
+    """The per-level selection loop a ``descend`` replaces: one chooser
+    call per node, and ``randrange`` on a tie."""
+    node = root
+    while not node.untried and node.children:
+        ties = _best_children(policy, node.visits, node.children)
+        if not ties:
+            raise ValueError(f"policy {policy!r} scored no child above -inf")
+        node = ties[0] if len(ties) == 1 else ties[rng.randrange(len(ties))]
+    return node
 
 
 def _stats_root(child_stats):
@@ -80,7 +93,7 @@ class TestPolicies:
                 stats = (rng.random(), n_parent, n_child)
                 assert abs(tree_policy(*stats) - closed(*stats)) <= 1e-9
 
-    def test_uct_best_children_matches_generic_loop(self):
+    def test_uct_descent_matches_generic_loop(self):
         # Equal statistics give exact ties; the hoisted 2*log(n_parent)
         # must leave every score, and so every tie list, unchanged.
         rng = random.Random(60)
@@ -91,11 +104,10 @@ class TestPolicies:
                 stats = [pool[rng.randrange(len(pool))] for _ in range(rng.randrange(1, 7))]
                 root = _stats_root([(v, min(t, float(v))) for v, t in stats])
                 want = _best_children(policy, root.visits, root.children)
-                got = policy.best_children(root.visits, root.children)
-                assert [id(n) for n in got] == [id(n) for n in want]
                 assert want
+                assert_descent_picks(policy.descend, root, want)
 
-    def test_uct_best_children_keeps_ties_between_different_statistics(self):
+    def test_uct_descent_keeps_ties_between_different_statistics(self):
         # Children with different visit counts whose __call__ scores tie
         # exactly: a score that differs in the last bit breaks the tie.
         rng = random.Random(61)
@@ -120,12 +132,71 @@ class TestPolicies:
                 root.visits = n_parent
                 want = _best_children(policy, n_parent, root.children)
                 assert want == root.children
-                assert policy.best_children(n_parent, root.children) == want
+                assert_descent_picks(policy.descend, root, want)
         assert found >= 200
+
+    @pytest.mark.parametrize(
+        "make_policy",
+        [
+            lambda c: UctPolicy(c),
+            lambda c: ExpressionPolicy(uct_seed(c)),
+            # Every child scores the same: a uniform walk, a tie per level.
+            lambda c: ExpressionPolicy(parse(f"(k {c!r})")),
+            # The least visited child; equal visits tie.
+            lambda c: ExpressionPolicy(parse(f"(div (k {c!r}) Nc)")),
+            lambda c: ExpressionPolicy(parse(f"(sub Q (mul (k {c!r}) (log Np)))")),
+        ],
+    )
+    def test_descent_matches_select_loop_on_grown_trees(self, make_policy, monkeypatch):
+        # From every node of trees grown by run_search, with terminals
+        # reached or not: the same node and the same RNG state as the
+        # per-level loop, ties at several levels of one descent included.
+        tie_breaks = []
+
+        def counted_draw(rng, n):
+            tie_breaks.append(n)
+            return draw_index(rng, n)
+
+        monkeypatch.setattr(mcts, "draw_index", counted_draw)
+        monkeypatch.setattr(expr, "draw_index", counted_draw)
+        descents = tied = multi_tied = 0
+        for c in (0.5, math.sqrt(2.0), 3.0):
+            policy = make_policy(c)
+            for seed, threshold in ((80, 0.02), (81, 0.004), (82, 1e-5)):
+                env = FunctionEnv("f2", threshold=threshold)
+                root, _ = run_search(env, policy, 300, random.Random(seed))
+                stack = [root]
+                while stack:
+                    node = stack.pop()
+                    stack.extend(node.children)
+                    for draw_seed in range(2):
+                        got_rng, want_rng = random.Random(draw_seed), random.Random(draw_seed)
+                        tie_breaks.clear()
+                        got = policy.descend(node, got_rng)
+                        assert got is _reference_select(node, policy, want_rng)
+                        assert got_rng.getstate() == want_rng.getstate()
+                        descents += 1
+                        tied += len(tie_breaks) > 0
+                        multi_tied += len(tie_breaks) > 1
+        assert descents > 900
+        assert tied > 40
+        assert multi_tied > 0
 
     def test_expression_policy_call_matches_closed_form(self):
         policy = ExpressionPolicy(uct_seed(1.0))
         assert policy(0.5, 10, 5) == closed_form_uct(0.5, 10, 5, 1.0)
+
+
+class TestDrawIndex:
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_same_draws_as_randrange(self, n):
+        # Every engine index pick goes through draw_index in place of
+        # ``randrange(n)``.  A Python whose ``randrange`` draws otherwise
+        # fails here before any search result changes.
+        want_rng, got_rng = random.Random(2000 + n), random.Random(2000 + n)
+        for _ in range(2000):
+            assert draw_index(got_rng, n) == want_rng.randrange(n)
+        assert got_rng.getstate() == want_rng.getstate()
 
 
 class TestSelect:
@@ -181,8 +252,8 @@ class TestSelect:
             def __call__(self, q, n_parent, n_child):
                 return 2.0 * base(q, n_parent, n_child)
 
-            def best_children(self, n_parent, children):
-                return _best_children(self, n_parent, children)
+            def descend(self, node, rng):
+                return _reference_select(node, self, rng)
 
         root2, log2 = run_search(env2, Doubled(), 400, random.Random(57))
         assert log1 == log2
@@ -256,6 +327,24 @@ class TestExpand:
             if child.state == IntervalState(0.0, 0.5):
                 low += 1
         assert abs(low / 10_000 - 0.5) < 0.02
+
+    def test_new_nodes_own_their_untried_lists(self):
+        # create_root and expand hand env.actions(state) to SearchNode,
+        # which makes the node's one list of it: popping an action must
+        # never reach a list the environment shares between states.
+        class SharedActions(FunctionEnv):
+            shared = [0, 1]
+
+            def actions(self, state):
+                return self.shared
+
+        env = SharedActions("f1")
+        rng = random.Random(62)
+        root = create_root(env)
+        child = expand(root, env, rng)
+        expand(child, env, rng)
+        assert env.shared == [0, 1]
+        assert len(root.untried) == len(child.untried) == 1
 
     def test_terminal_child_has_no_untried(self):
         env = FunctionEnv("f1", threshold=0.6)
