@@ -102,7 +102,7 @@ def bin_centres(centres, bins: int) -> np.ndarray:
     arr = np.asarray(list(centres), dtype=float)
     if arr.size == 0:
         return np.zeros(bins, dtype=np.int64)
-    if np.any(arr < 0.0) or np.any(arr > 1.0):
+    if not np.all((arr >= 0.0) & (arr <= 1.0)):
         raise ValueError("centres outside [0, 1]")
     idx = np.minimum((arr * bins).astype(np.int64), bins - 1)
     return np.bincount(idx, minlength=bins)

@@ -177,7 +177,8 @@ class FunctionEnv:
             self.function_id = function
         if branching < 2:
             raise ValueError("branching must be >= 2")
-        if threshold <= 0.0:
+        # Written so NaN fails too: a NaN threshold never ends a playout.
+        if not threshold > 0.0:
             raise ValueError("threshold must be positive")
         self.branching = branching
         self.threshold = threshold

@@ -19,6 +19,7 @@ import argparse
 import contextlib
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import random
@@ -189,6 +190,8 @@ def _execute_run(task: tuple) -> tuple:
 def run_experiment(cfg: ExperimentConfig) -> dict:
     """Run the full grid; returns {config_id: aggregate HistogramReport}.
 
+    Each configuration's exports are written as soon as its last run's
+    log is, so a failed run leaves every earlier configuration complete.
     Raises FileExistsError, writing nothing, unless ``out_dir`` is new or
     an empty directory, so no earlier grid's files mix with this one's.
     """
@@ -198,62 +201,59 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     logs_dir = out_dir / "logs"
     logs_dir.mkdir(parents=True, exist_ok=True)
 
+    configs = [(function, agent) for function in cfg.functions for agent in cfg.agents]
     visit_bins = cfg.bins if cfg.visit_weighted else None
     tasks = []
-    for function in cfg.functions:
-        for agent in cfg.agents:
-            siea = agent.kind == "siea"
-            for run_index in range(cfg.runs):
-                header = {
-                    "type": "run",
-                    "config_id": f"{function}_{agent.label}",
-                    "function": function,
-                    "agent": agent.label,
-                    "kind": agent.kind,
-                    "c": agent.c,
-                    "seed": derive_run_seed(cfg.base_seed, function, agent.label, run_index),
-                    "run_index": run_index,
-                    "iterations": cfg.iterations,
-                    "post_iterations": cfg.post_iterations if siea else None,
-                }
-                tasks.append((header, dataclasses.asdict(cfg.ea) if siea else None, visit_bins))
+    for function, agent in configs:
+        siea = agent.kind == "siea"
+        for run_index in range(cfg.runs):
+            header = {
+                "type": "run",
+                "config_id": f"{function}_{agent.label}",
+                "function": function,
+                "agent": agent.label,
+                "kind": agent.kind,
+                "c": agent.c,
+                "seed": derive_run_seed(cfg.base_seed, function, agent.label, run_index),
+                "run_index": run_index,
+                "iterations": cfg.iterations,
+                "post_iterations": cfg.post_iterations if siea else None,
+            }
+            tasks.append((header, dataclasses.asdict(cfg.ea) if siea else None, visit_bins))
 
     started = time.monotonic()
-    per_config: dict = {}
-    visit_rows: dict = {}
-    # Both maps are lazy and yield in task order, so each run is written
-    # as soon as it and the runs before it are done.
+    reports: dict = {}
     # The pool forks every worker up front, so it gets no more than there
     # are runs, and none for a single worker.
     workers = min(cfg.workers, len(tasks))
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     with pool or contextlib.nullcontext():
+        # Both maps are lazy and yield in task order, which is grid order,
+        # so each configuration takes the next cfg.runs results as they
+        # are done.
         results = map(_execute_run, tasks) if pool is None else pool.map(_execute_run, tasks)
-        for k, (records, visit_counts) in enumerate(results, 1):
-            header, expansions = records[0], records[-2]
-            cid = header["config_id"]
-            with open(logs_dir / f"{cid}_run{header['run_index']:03d}.jsonl", "w") as fh:
-                for record in records:
-                    fh.write(json.dumps(record, sort_keys=True))
-                    fh.write("\n")
-            # post_iterations is None for a uct run, which logs every iteration.
-            span = header["post_iterations"] or header["iterations"]
-            log = list(zip(expansions["iterations"], expansions["centres"]))
-            per_config.setdefault(cid, []).append(run_report(log, span, cfg.bins, cid))
-            if visit_counts is not None:
-                visit_rows.setdefault(cid, []).append(visit_counts)
-            print(
-                f"[{k}/{len(tasks)}] {cid} run {header['run_index']} "
-                f"({time.monotonic() - started:.1f}s elapsed)",
-                file=sys.stderr,
-            )
-
-    reports: dict = {}
-    for function in cfg.functions:
-        for agent in cfg.agents:
+        results = enumerate(results, 1)
+        for function, agent in configs:
             cid = f"{function}_{agent.label}"
-            report = aggregate(per_config[cid])
-            reports[cid] = report
+            # A siea run logs only its post-evolution search.
+            span = cfg.post_iterations if agent.kind == "siea" else cfg.iterations
+            run_reports, visit_rows = [], []
+            for k, (records, visit_counts) in itertools.islice(results, cfg.runs):
+                header, expansions = records[0], records[-2]
+                with open(logs_dir / f"{cid}_run{header['run_index']:03d}.jsonl", "w") as fh:
+                    for record in records:
+                        fh.write(json.dumps(record, sort_keys=True))
+                        fh.write("\n")
+                log = list(zip(expansions["iterations"], expansions["centres"]))
+                run_reports.append(run_report(log, span, cfg.bins, cid))
+                if visit_counts is not None:
+                    visit_rows.append(visit_counts)
+                print(
+                    f"[{k}/{len(tasks)}] {cid} run {header['run_index']} "
+                    f"({time.monotonic() - started:.1f}s elapsed)",
+                    file=sys.stderr,
+                )
+            report = reports[cid] = aggregate(run_reports)
             meta = {
                 "function": function,
                 "policy": agent.kind,
@@ -261,13 +261,9 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
                 "run_seed": cfg.base_seed,
             }
             write_csv(report, out_dir / f"{cid}.csv", meta)
-            json_meta = {
-                **meta,
-                "iterations": cfg.iterations,
-                "log_span": cfg.post_iterations if agent.kind == "siea" else cfg.iterations,
-            }
-            if cid in visit_rows:
-                json_meta["visit_weighted_mean"] = np.mean(visit_rows[cid], axis=0).tolist()
+            json_meta = {**meta, "iterations": cfg.iterations, "log_span": span}
+            if visit_rows:
+                json_meta["visit_weighted_mean"] = np.mean(visit_rows, axis=0).tolist()
             write_json(report, out_dir / f"{cid}.json", json_meta)
             write_plotdata(report, out_dir / f"{cid}.dat")
     print(

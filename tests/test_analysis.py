@@ -98,6 +98,8 @@ class TestBinCentres:
             bin_centres([1.2], 10)
         with pytest.raises(ValueError):
             bin_centres([-0.1], 10)
+        with pytest.raises(ValueError, match="centres outside"):
+            bin_centres([0.3, float("nan")], 10)
         with pytest.raises(ValueError):
             bin_centres([0.5], 0)
 

@@ -263,6 +263,8 @@ class TestFunctionEnv:
             FunctionEnv("f1", branching=1)
         with pytest.raises(ValueError):
             FunctionEnv("f1", threshold=0.0)
+        with pytest.raises(ValueError, match="threshold must be positive"):
+            FunctionEnv("f1", threshold=float("nan"))
 
     def test_raised_threshold_shrinks_depth(self):
         # Width 2^-3 = 0.125 < 0.2: terminal depth becomes exactly 3.

@@ -245,6 +245,43 @@ class TestRunExperiment:
             f"[{k + 1}/3] f1_{SQRT2_LABEL} run {k}" for k in range(3)
         ]
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_each_configuration_is_exported_after_its_last_run(
+        self, tmp_path, monkeypatch, workers
+    ):
+        logs_seen = []
+        write_csv = cli.write_csv
+
+        def recording_write_csv(*args, **kwargs):
+            logs_seen.append(len(list((tmp_path / "logs").glob("*.jsonl"))))
+            return write_csv(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "write_csv", recording_write_csv)
+        agents = [AgentSpec("uct", 0.5), AgentSpec("uct", 1.0)]
+        cfg = _uct_cfg(
+            tmp_path, functions=["f1", "f2"], agents=agents, runs=2, iterations=40, workers=workers
+        )
+        run_experiment(cfg)
+        assert logs_seen == [2, 4, 6, 8]
+
+    def test_failed_run_keeps_the_finished_configurations(self, tmp_path, monkeypatch):
+        execute_run = cli._execute_run
+
+        def failing_run(task):
+            if task[0]["config_id"] == "f2_uct_c0.5":
+                raise RuntimeError("run failed")
+            return execute_run(task)
+
+        monkeypatch.setattr(cli, "_execute_run", failing_run)
+        agents = [AgentSpec("uct", 0.5), AgentSpec("uct", 1.0)]
+        cfg = _uct_cfg(tmp_path, functions=["f1", "f2"], agents=agents, runs=2, iterations=40)
+        with pytest.raises(RuntimeError, match="run failed"):
+            run_experiment(cfg)
+        exports = sorted(p.name for p in tmp_path.iterdir() if p.is_file())
+        finished = [f"f1_uct_c{c}.{ext}" for c in ("0.5", "1") for ext in ("csv", "dat", "json")]
+        assert exports == finished
+        assert len(list((tmp_path / "logs").iterdir())) == 4
+
     @pytest.mark.parametrize(
         "workers, runs, started",
         [(64, 1, []), (64, 3, [3]), (2, 3, [2]), (1, 3, [])],
