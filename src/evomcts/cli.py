@@ -187,6 +187,26 @@ def _execute_run(task: tuple) -> tuple:
     return records, visit_weighted_counts(root, env, visit_bins).tolist()
 
 
+@contextlib.contextmanager
+def _pool(workers: int):
+    """A process pool of ``workers``, or None for one worker.
+
+    The pool forks every worker up front, so the caller sizes it by the
+    work.  When the caller raises, the runs still queued are cancelled:
+    the pool's exit would otherwise wait for them, and then their results
+    would be thrown away.
+    """
+    if workers <= 1:
+        yield None
+        return
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        try:
+            yield pool
+        except BaseException:
+            pool.shutdown(wait=False, cancel_futures=True)
+            raise
+
+
 def run_experiment(cfg: ExperimentConfig) -> dict:
     """Run the full grid; returns {config_id: aggregate HistogramReport}.
 
@@ -223,11 +243,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
 
     started = time.monotonic()
     reports: dict = {}
-    # The pool forks every worker up front, so it gets no more than there
-    # are runs, and none for a single worker.
-    workers = min(cfg.workers, len(tasks))
-    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
-    with pool or contextlib.nullcontext():
+    with _pool(min(cfg.workers, len(tasks))) as pool:
         # Both maps are lazy and yield in task order, which is grid order,
         # so each configuration takes the next cfg.runs results as they
         # are done.

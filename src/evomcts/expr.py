@@ -18,13 +18,14 @@ with ``repr`` so no precision is lost).
 :func:`evaluate` interprets a tree node by node and is the reference.
 :func:`compile_chooser` turns a tree into Python source once, for the
 search, which scores it many times: ``descend(node, rng)`` walks a
-search tree from ``node`` to the node to expand in one call, scoring
-the children at each level with results bit-identical to
-:func:`evaluate`.  Every operator is written inline (protected division
-as ``1.0 if abs(b) < 0.001 else a / b``, protected log as ``0.0 if ax <
-0.001 else log(ax)``, saturation as a conditional at +-1e300) rather
-than as a helper call, and the subtrees that read only ``Np`` and
-constants are computed once per level, before the child loop.
+search tree from ``node`` to the node to expand in one call and returns
+the path it walked, scoring the children at each level with results
+bit-identical to :func:`evaluate`.  Every operator is written inline
+(protected division as ``1.0 if abs(b) < 0.001 else a / b``, protected
+log as ``0.0 if ax < 0.001 else log(ax)``, saturation as a conditional
+at +-1e300) rather than as a helper call, and the subtrees that read
+only ``Np`` and constants are computed once per level, before the child
+loop.
 """
 
 from __future__ import annotations
@@ -330,7 +331,7 @@ def _indent(blocks: list, depth: int) -> list:
 
 
 def compile_chooser(expression: Expression):
-    """Build the search's ``descend(node, rng) -> node`` from the tree.
+    """Build the search's ``descend(node, rng) -> path`` from the tree.
 
     From ``node``, while the node has no untried action and has
     children, scores each child ``c`` as ``evaluate(expression,
@@ -339,8 +340,9 @@ def compile_chooser(expression: Expression):
     several children tie exactly at the top, to the one at
     ``draw_index(rng, len(ties))`` among them in creation order.  A
     single winner leaves the RNG untouched, and the list of ties is
-    built only on a tie.  Returns the node it stops at; raises
-    ValueError when no child of a level scores above -inf.
+    built only on a tie.  Returns the path walked, the nodes from
+    ``node`` to the node it stops at, both included; raises ValueError
+    when no child of a level scores above -inf.
 
     Constants are written with ``repr`` (exact for the finite floats
     ``Const`` admits), Np and Nc are converted with ``float()`` as
@@ -365,6 +367,7 @@ def compile_chooser(expression: Expression):
     source = "\n".join(
         [
             "def descend(node, rng):",
+            "    path = [node]",
             "    while not node.untried and node.children:",
             *level_stats,
             *_indent(per_node, 2),
@@ -379,12 +382,14 @@ def compile_chooser(expression: Expression):
             f"            elif {result} == best:",
             "                ties = _add_tie(ties, pick, child)",
             "        node = _next_node(pick, ties, rng)",
-            "    return node",
+            "        path.append(node)",
+            "    return path",
         ]
     )
     namespace = dict(_COMPILED_GLOBALS)
     exec(compile(source, "<compiled expression>", "exec"), namespace)
-    return namespace["descend"]
+    # Popped, so the function is not in the globals it holds: no cycle.
+    return namespace.pop("descend")
 
 
 def uct_seed(c: float) -> Expression:

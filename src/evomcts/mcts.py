@@ -5,17 +5,21 @@ The engine is generic over an environment object providing
 playout(s, rng) / sample_reward(s, rng) / centre(s)``; ``playout``
 walks uniformly at random from ``s`` to a terminal state and returns it.
 
-A selection policy provides ``descend(node, rng) -> node``, which
+A selection policy provides ``descend(node, rng) -> path``, which
 ``select`` calls once per iteration.  From ``node``, while the node has
 no untried action and has children, it scores every child from its mean
 reward ``q``, the parent's visit count and its own visit count (both
 ints >= 1, the fields of :class:`~evomcts.expr.NodeContext`) and moves
-to the child with the top score; it returns the node it stops at, and
-raises ValueError when no child of a level scores above -inf.  Two
-policies are provided: closed-form UCB1 with a fixed exploration
-constant, and an expression tree compiled into a descent.  Each also
-scores one child when called as ``policy(q, n_parent, n_child)``, the
-reference its ``descend`` reproduces bit for bit.
+to the child with the top score; it returns the search path, the list
+of nodes from ``node`` down to the node it stops at, both included, and
+raises ValueError when no child of a level scores above -inf.  The path
+is the only record of ancestry, and backpropagation walks it: a node
+has no link to its parent, so a tree holds no reference cycle and is
+freed as soon as its root is dropped.  Two policies are provided:
+closed-form UCB1 with a fixed exploration constant, and an expression
+tree compiled into a descent.  Each also scores one child when called
+as ``policy(q, n_parent, n_child)``, the reference its ``descend``
+reproduces bit for bit.
 
 RNG protocol (all determinism and the trace tests rest on this): the
 engine draws from a single ``random.Random`` stream.  Every index pick
@@ -57,14 +61,15 @@ class SearchNode:
 
     ``untried`` holds the actions not yet expanded; a terminal node has
     neither children nor untried actions.  ``total_reward / visits`` is
-    the mean reward backed up through this node.
+    the mean reward backed up through this node.  Links point down only,
+    to ``children``; the search path a selection returns is what leads
+    back up.
     """
 
-    __slots__ = ("state", "parent", "children", "untried", "visits", "total_reward")
+    __slots__ = ("state", "children", "untried", "visits", "total_reward")
 
-    def __init__(self, state, parent=None, untried=None):
+    def __init__(self, state, untried=None):
         self.state = state
-        self.parent = parent
         self.children: list = []
         self.untried: list = list(untried) if untried is not None else []
         self.visits = 0
@@ -75,7 +80,13 @@ class SearchNode:
         return self.total_reward / self.visits
 
     def count_nodes(self) -> int:
-        return 1 + sum(child.count_nodes() for child in self.children)
+        # An explicit stack: a recursion would cost frames per level.
+        count = 0
+        stack = [self]
+        while stack:
+            count += 1
+            stack.extend(stack.pop().children)
+        return count
 
     def __repr__(self):
         return (
@@ -93,9 +104,9 @@ class UctPolicy:
     def __call__(self, q: float, n_parent: int, n_child: int) -> float:
         return q + self.c * math.sqrt(2.0 * math.log(n_parent) / n_child)
 
-    def descend(self, node: SearchNode, rng: random.Random) -> SearchNode:
+    def descend(self, node: SearchNode, rng: random.Random) -> list:
         """Walk down by top ``__call__`` score, bit for bit, to the node
-        to expand (see the module docstring).
+        to expand, and return the path walked (see the module docstring).
 
         ``2.0 * log(n_parent) / n_child`` evaluates left to right, so
         hoisting ``2.0 * log(n_parent)`` out of the child loop leaves
@@ -108,6 +119,7 @@ class UctPolicy:
         c = self.c
         log, sqrt = math.log, math.sqrt
         neg_inf = -math.inf
+        path = [node]
         while not node.untried and node.children:
             k = 2.0 * log(node.visits)
             best = neg_inf
@@ -127,7 +139,8 @@ class UctPolicy:
             if best == neg_inf:
                 raise ValueError(f"policy {self!r} scored no child above -inf")
             node = pick if ties is None else ties[draw_index(rng, len(ties))]
-        return node
+            path.append(node)
+        return path
 
     def __repr__(self):
         return f"UctPolicy(c={self.c!r})"
@@ -137,7 +150,8 @@ class ExpressionPolicy:
     """Score children with an expression tree.
 
     ``select`` calls ``descend``, the tree compiled here into one
-    function that walks from the root to the node to expand;
+    function that walks from the root to the node to expand and returns
+    the path it walked;
     ``__call__`` scores one child with the interpreter, which is the
     reference the descent reproduces bit for bit.
     """
@@ -159,13 +173,15 @@ def create_root(env) -> SearchNode:
     return SearchNode(state, untried=None if env.is_terminal(state) else env.actions(state))
 
 
-def select(root: SearchNode, policy, rng: random.Random) -> SearchNode:
+def select(root: SearchNode, policy, rng: random.Random) -> list:
     """Descend by policy score until an expandable or terminal node.
 
-    Only visited children exist in ``children``, so every scored child
-    has visits >= 1.  Exact score ties are broken uniformly at random.
-    Raises ValueError when the policy scores no child above -inf (for
-    instance when it returns NaN).
+    Returns the search path: the nodes from ``root`` to that node, both
+    included, in descent order.  Only visited children exist in
+    ``children``, so every scored child has visits >= 1.  Exact score
+    ties are broken uniformly at random.  Raises ValueError when the
+    policy scores no child above -inf (for instance when it returns
+    NaN).
     """
     return policy.descend(root, rng)
 
@@ -177,7 +193,7 @@ def expand(node: SearchNode, env, rng: random.Random) -> SearchNode:
         raise ValueError("node has no untried actions")
     action = untried.pop(draw_index(rng, len(untried)))
     state = env.apply(node.state, action)
-    child = SearchNode(state, node, None if env.is_terminal(state) else env.actions(state))
+    child = SearchNode(state, None if env.is_terminal(state) else env.actions(state))
     node.children.append(child)
     return child
 
@@ -191,29 +207,31 @@ def rollout(node: SearchNode, env, rng: random.Random) -> float:
     return env.sample_reward(env.playout(node.state, rng), rng)
 
 
-def backpropagate(node: SearchNode, reward: float) -> None:
-    """Add one visit and the reward to the node and all its ancestors."""
-    while node is not None:
+def backpropagate(path: list, reward: float) -> None:
+    """Add one visit and the reward to every node on the search path."""
+    for node in path:
         node.visits += 1
         node.total_reward += reward
-        node = node.parent
 
 
 def run_iteration(root: SearchNode, policy, env, rng: random.Random):
     """One select/expand/rollout/backpropagate cycle.
 
-    Returns the newly expanded node, or None when selection ended on a
-    terminal node (which is then re-rolled-out and backed up, so every
-    iteration consumes exactly one reward draw and root.visits grows by
-    one either way).
+    The expanded child is appended to the path ``select`` returns, and
+    the rollout's reward is backed up along that path.  Returns the newly
+    expanded node, or None when selection ended on a terminal node (which
+    is then re-rolled-out and backed up, so every iteration consumes
+    exactly one reward draw and root.visits grows by one either way).
     """
-    node = select(root, policy, rng)
+    path = select(root, policy, rng)
+    node = path[-1]
     expanded = None
     if node.untried:
         expanded = expand(node, env, rng)
+        path.append(expanded)
         node = expanded
     reward = rollout(node, env, rng)
-    backpropagate(node, reward)
+    backpropagate(path, reward)
     return expanded
 
 

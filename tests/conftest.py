@@ -63,21 +63,30 @@ class UntouchableRng:
         raise AssertionError(f"RNG used: {name}")
 
 
+def assert_same_path(got, want):
+    """``got`` holds the very nodes of ``want``, in order.  Compared by
+    identity: the stand-ins above compare equal by their fields."""
+    assert type(got) is list
+    assert len(got) == len(want), (len(got), len(want))
+    for depth, (a, b) in enumerate(zip(got, want)):
+        assert a is b, depth
+
+
 def assert_descent_picks(descend, root, ties):
     """``descend(root, rng)`` against the reference ``ties`` of a
-    one-level ``root``: the i-th tie in creation order when the RNG's
-    ``getrandbits`` returns i (one draw of ``randrange(len(ties))``'s
-    width), the single winner without touching the RNG, and ValueError
-    when no child scores above -inf."""
+    one-level ``root``: the path from ``root`` to the i-th tie in
+    creation order when the RNG's ``getrandbits`` returns i (one draw of
+    ``randrange(len(ties))``'s width), to the single winner without
+    touching the RNG, and ValueError when no child scores above -inf."""
     if not ties:
         with pytest.raises(ValueError, match="above -inf"):
             descend(root, UntouchableRng())
     elif len(ties) == 1:
-        assert descend(root, UntouchableRng()) is ties[0]
+        assert_same_path(descend(root, UntouchableRng()), [root, ties[0]])
     else:
         for i, child in enumerate(ties):
             rng = ScriptedRng(i)
-            assert descend(root, rng) is child, i
+            assert_same_path(descend(root, rng), [root, child])
             assert rng.bits == [len(ties).bit_length()]
 
 

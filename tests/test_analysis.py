@@ -244,7 +244,7 @@ class TestVisitWeighted:
         env = FunctionEnv("f1")
         root = SearchNode(IntervalState(0.0, 1.0))
         root.visits = 10
-        child = SearchNode(IntervalState(0.0, 0.5), parent=root)
+        child = SearchNode(IntervalState(0.0, 0.5))
         child.visits = 6
         root.children.append(child)
         counts = visit_weighted_counts(root, env, 2)

@@ -309,6 +309,37 @@ class TestRunExperiment:
         assert pools == started
         assert len(list((tmp_path / "logs").iterdir())) == runs
 
+    def test_failing_write_cancels_the_queued_runs(self, tmp_path, monkeypatch):
+        # The pool's exit waits for every queued run: without a cancel, an
+        # error in the main process would surface only after all had run.
+        calls = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                calls.append(("start", max_workers))
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                calls.append(("exit", exc[0]))
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+            def shutdown(self, wait=True, *, cancel_futures=False):
+                calls.append(("shutdown", wait, cancel_futures))
+
+        def failing_write_csv(*args):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(cli, "write_csv", failing_write_csv)
+        with pytest.raises(OSError, match="disk full"):
+            run_experiment(_uct_cfg(tmp_path, runs=3, iterations=20, workers=2))
+        assert calls == [("start", 2), ("shutdown", False, True), ("exit", OSError)]
+
     def test_visit_weighted_export(self, tmp_path):
         cfg = _uct_cfg(tmp_path, visit_weighted=True, bins=50)
         run_experiment(cfg)

@@ -1,12 +1,14 @@
 """Search-engine tests: selection, expansion, rollouts, backpropagation,
-full iterations, and the statistics invariants of the grown tree."""
+full iterations, the statistics invariants of the grown tree, and that
+no search leaves reference cycles behind."""
 
+import gc
 import math
 import random
 
 import pytest
 
-from conftest import assert_descent_picks, closed_form_uct, tree_signature
+from conftest import assert_descent_picks, assert_same_path, closed_form_uct, tree_signature
 from evomcts import expr, mcts
 from evomcts.bench import FunctionEnv, IntervalState, eval_function
 from evomcts.expr import K_VALUES, draw_index, parse, uct_seed
@@ -23,6 +25,7 @@ from evomcts.mcts import (
     run_search,
     select,
 )
+from evomcts.siea import EvolutionConfig, evaluate_individual, run_siea_search
 
 
 def _leaf_env(**kwargs):
@@ -48,14 +51,17 @@ def _best_children(policy, n_parent, children):
 
 def _reference_select(root, policy, rng):
     """The per-level selection loop a ``descend`` replaces: one chooser
-    call per node, and ``randrange`` on a tie."""
+    call per node, and ``randrange`` on a tie.  Returns the path from
+    ``root`` to the node it stops at."""
+    path = [root]
     node = root
     while not node.untried and node.children:
         ties = _best_children(policy, node.visits, node.children)
         if not ties:
             raise ValueError(f"policy {policy!r} scored no child above -inf")
         node = ties[0] if len(ties) == 1 else ties[rng.randrange(len(ties))]
-    return node
+        path.append(node)
+    return path
 
 
 def _stats_root(child_stats):
@@ -63,7 +69,7 @@ def _stats_root(child_stats):
     root = SearchNode(IntervalState(0.0, 1.0), untried=None)
     root.untried = []
     for visits, total in child_stats:
-        child = SearchNode(IntervalState(0.0, 0.5), parent=root, untried=[0, 1])
+        child = SearchNode(IntervalState(0.0, 0.5), untried=[0, 1])
         child.visits = visits
         child.total_reward = total
         root.children.append(child)
@@ -173,7 +179,7 @@ class TestPolicies:
                         got_rng, want_rng = random.Random(draw_seed), random.Random(draw_seed)
                         tie_breaks.clear()
                         got = policy.descend(node, got_rng)
-                        assert got is _reference_select(node, policy, want_rng)
+                        assert_same_path(got, _reference_select(node, policy, want_rng))
                         assert got_rng.getstate() == want_rng.getstate()
                         descents += 1
                         tied += len(tie_breaks) > 0
@@ -204,7 +210,7 @@ class TestSelect:
         env = FunctionEnv("f1")
         root = create_root(env)
         rng = random.Random(53)
-        assert select(root, UctPolicy(1.0), rng) is root
+        assert_same_path(select(root, UctPolicy(1.0), rng), [root])
 
     def test_higher_scored_child_chosen_deterministically(self):
         # Parent seen 10 times; child A (5 visits, mean 0.5) scores
@@ -215,7 +221,7 @@ class TestSelect:
         rng = random.Random(54)
         state_before = rng.getstate()
         picked = select(root, UctPolicy(1.0), rng)
-        assert picked is root.children[0]
+        assert_same_path(picked, [root, root.children[0]])
         assert rng.getstate() == state_before
         a = closed_form_uct(0.5, 10, 5, 1.0)
         b = closed_form_uct(0.3, 10, 8, 1.0)
@@ -227,7 +233,8 @@ class TestSelect:
         counts = [0, 0]
         for _ in range(10_000):
             root = _stats_root([(5, 2.0), (5, 2.0)])
-            picked = select(root, UctPolicy(math.sqrt(2.0)), rng)
+            root_, picked = select(root, UctPolicy(math.sqrt(2.0)), rng)
+            assert root_ is root
             counts[root.children.index(picked)] += 1
         assert abs(counts[0] / 10_000 - 0.5) < 0.02
 
@@ -236,7 +243,8 @@ class TestSelect:
         counts = [0, 0, 0]
         for _ in range(12_000):
             root = _stats_root([(4, 1.0), (4, 1.0), (4, 1.0)])
-            picked = select(root, UctPolicy(1.0), rng)
+            root_, picked = select(root, UctPolicy(1.0), rng)
+            assert root_ is root
             counts[root.children.index(picked)] += 1
         for c in counts:
             assert abs(c / 12_000 - 1 / 3) < 0.02
@@ -291,7 +299,11 @@ class TestSelect:
         root = create_root(env)
         for _ in range(50):
             run_iteration(root, UctPolicy(0.5), env, rng)
-        node = select(root, UctPolicy(0.5), rng)
+        path = select(root, UctPolicy(0.5), rng)
+        assert path[0] is root and len(path) > 1
+        for parent, child in zip(path, path[1:]):
+            assert child in parent.children
+        node = path[-1]
         assert node.untried or not node.children
 
 
@@ -303,7 +315,7 @@ class TestExpand:
         child = expand(root, env, rng)
         assert len(root.untried) == 1
         assert root.children == [child]
-        assert child.parent is root
+        assert child in root.children
         assert child.visits == 0 and child.total_reward == 0.0
 
     def test_both_children_partition_parent(self):
@@ -394,26 +406,39 @@ class TestBackpropagate:
     def _chain(self, length):
         nodes = [SearchNode(IntervalState(0.0, 1.0))]
         for _ in range(length - 1):
-            child = SearchNode(IntervalState(0.0, 0.5), parent=nodes[-1])
+            child = SearchNode(IntervalState(0.0, 0.5))
             nodes[-1].children.append(child)
             nodes.append(child)
         return nodes
 
     def test_path_of_depth_three_updates_four_nodes(self):
         nodes = self._chain(4)
-        sibling = SearchNode(IntervalState(0.5, 1.0), parent=nodes[0])
+        sibling = SearchNode(IntervalState(0.5, 1.0))
         nodes[0].children.append(sibling)
-        backpropagate(nodes[-1], 1.0)
+        backpropagate(nodes, 1.0)
         assert [n.visits for n in nodes] == [1, 1, 1, 1]
         assert [n.total_reward for n in nodes] == [1.0, 1.0, 1.0, 1.0]
         assert sibling.visits == 0
 
     def test_mean_after_two_rewards(self):
         nodes = self._chain(2)
-        backpropagate(nodes[-1], 1.0)
-        backpropagate(nodes[-1], 0.0)
+        backpropagate(nodes, 1.0)
+        backpropagate(nodes, 0.0)
         assert nodes[-1].q == 0.5
         assert nodes[0].visits == 2
+
+
+class TestSearchNode:
+    def test_count_nodes_of_a_deep_chain(self):
+        # A recursive count costs two frames per level (the method and
+        # its generator), so a chain this deep would pass the recursion
+        # limit.
+        root = node = SearchNode(IntervalState(0.0, 1.0))
+        for _ in range(599):
+            child = SearchNode(IntervalState(0.0, 0.5))
+            node.children.append(child)
+            node = child
+        assert root.count_nodes() == 600
 
 
 class TestRunIteration:
@@ -421,7 +446,7 @@ class TestRunIteration:
         env = FunctionEnv("f1")
         root = create_root(env)
         expanded = run_iteration(root, UctPolicy(1.0), env, random.Random(67))
-        assert expanded is not None and expanded.parent is root
+        assert expanded is not None and expanded in root.children
         assert root.count_nodes() == 2
         assert root.visits == 1
 
@@ -476,13 +501,16 @@ class TestRunSearch:
         env = FunctionEnv("f1")
         root, log = run_search(env, UctPolicy(0.5), 300, random.Random(73))
         stack = [root]
+        seen = {id(root)}
         while stack:
             node = stack.pop()
             assert 0.0 <= node.total_reward <= node.visits
             if node.visits:
                 assert 0.0 <= node.q <= 1.0
             for child in node.children:
-                assert child.parent is node
+                # Every node hangs under exactly one parent.
+                assert id(child) not in seen
+                seen.add(id(child))
                 stack.append(child)
             if node.children:
                 expected = sum(c.visits for c in node.children)
@@ -520,3 +548,39 @@ class TestCloneAndBestChild:
     def test_create_root_on_terminal_environment(self):
         root = create_root(_leaf_env())
         assert root.untried == []
+
+
+class TestNoReferenceCycles:
+    """Nodes link only to their children and a compiled formula is not
+    in its own globals, so reference counting frees every search's
+    objects when its result is dropped, with nothing left for the cyclic
+    garbage collector."""
+
+    @pytest.mark.parametrize(
+        "search",
+        [
+            lambda: run_search(FunctionEnv("f2"), UctPolicy(1.0), 300, random.Random(90)),
+            lambda: run_search(
+                FunctionEnv("f2"), ExpressionPolicy(uct_seed(1.0)), 300, random.Random(91)
+            ),
+            lambda: ExpressionPolicy(parse("(add Q (div (k 1.0) Nc))")),
+            lambda: evaluate_individual(uct_seed(1.0), FunctionEnv("f2"), 30, random.Random(92)),
+            lambda: run_siea_search(
+                FunctionEnv("f2"),
+                EvolutionConfig(lambda_=2, generations=2, sims_per_eval=5),
+                50,
+                random.Random(93),
+            ),
+        ],
+        ids=["uct-search", "expression-search", "expression-policy", "evaluation", "siea"],
+    )
+    def test_search_leaves_no_garbage_cycles(self, search):
+        gc.collect()
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            search()
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()

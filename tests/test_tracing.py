@@ -57,7 +57,8 @@ def test_tracer_spans_a_tiny_grid_and_uninstalls(tmp_path):
         assert cli.main([*argv, "--out", str(tmp_path)]) == 0
     finally:
         tracer.uninstall()
-    for name in ("mcts.select", "mcts.rollout", "bench.sample_reward", "siea.evolve"):
+    spans = ("mcts.select", "mcts.expand", "mcts.rollout", "mcts.backpropagate")
+    for name in (*spans, "bench.sample_reward", "siea.evolve"):
         assert tracer.spans[name][0] > 0, name
     after = _wrapped_attributes()
     for key, original in before.items():
