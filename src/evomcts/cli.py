@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import hashlib
 import itertools
 import json
@@ -148,6 +149,17 @@ def derive_run_seed(base_seed: int, function_id: str, agent_label: str, run_inde
     return int.from_bytes(hashlib.sha256(key).digest()[:8], "little")
 
 
+@functools.lru_cache(maxsize=None)
+def _uct_policy(c: float) -> UctPolicy:
+    """One policy per constant and process, shared by its runs.
+
+    Building a policy compiles its descent, and a fresh function starts
+    unspecialised: built per run, they made 150-iteration UCB1 searches
+    about 17% slower.
+    """
+    return UctPolicy(c)
+
+
 def _execute_run(task: tuple) -> tuple:
     """Run one search from its log header; plain data in and out (process-safe).
 
@@ -163,7 +175,7 @@ def _execute_run(task: tuple) -> tuple:
     env = FunctionEnv(header["function"])
     records = [header]
     if header["kind"] == "uct":
-        root, log = run_search(env, UctPolicy(header["c"]), header["iterations"], rng)
+        root, log = run_search(env, _uct_policy(header["c"]), header["iterations"], rng)
     else:
         root, log, best, history = run_siea_search(
             env, EvolutionConfig(**ea), header["post_iterations"], rng

@@ -25,7 +25,11 @@ bit-identical to :func:`evaluate`.  Every operator is written inline
 log as ``0.0 if ax < 0.001 else log(ax)``, saturation as a conditional
 at +-1e300) rather than as a helper call, and the subtrees that read
 only ``Np`` and constants are computed once per level, before the child
-loop.
+loop.  :func:`compile_descent` is the one descent compiler: it wraps
+those lines, or ``UctPolicy``'s closed-form UCB1 lines, in the walk, and
+the selection half of the RNG protocol in ``mcts``'s docstring (ties
+kept in creation order, one ``draw_index`` draw only on a tie) is
+written there and nowhere else.
 """
 
 from __future__ import annotations
@@ -48,6 +52,7 @@ __all__ = [
     "protected_sqrt",
     "evaluate",
     "draw_index",
+    "compile_descent",
     "compile_chooser",
     "uct_seed",
     "random_subtree",
@@ -269,35 +274,6 @@ _OP_CODE = {
 _VAR_CODE = {"Q": ("q", True), "Np": ("n_parent", False), "Nc": ("n_child", True)}
 
 
-# The compiled descent's steps that are the same for every formula live
-# in these two helpers rather than in its source: compile() charges for
-# every statement and branch, and a search compiles a formula for every
-# offspring it evaluates.
-def _add_tie(ties, pick, child):
-    # ``ties`` is None until a second child reaches the top score.
-    if ties is None:
-        return [pick, child]
-    ties.append(child)
-    return ties
-
-
-def _next_node(pick, ties, rng):
-    # ``pick`` is None when no child scored above -inf: it is set only on
-    # a score above the running best, which starts at -inf.
-    if pick is None:
-        raise ValueError("formula scored no child above -inf")
-    return pick if ties is None else ties[draw_index(rng, len(ties))]
-
-
-_COMPILED_GLOBALS = {
-    "log": math.log,
-    "sqrt": math.sqrt,
-    "_LEVEL_START": (-math.inf, None, None),  # best, pick, ties
-    "_add_tie": _add_tie,
-    "_next_node": _next_node,
-}
-
-
 def _emit(node, per_node: list, per_child: list, reads: set) -> tuple:
     # Returns ``(operand, varies)``: the operand naming this node's value
     # and whether it reads Q or Nc.  Operators whose subtree reads only Np
@@ -319,30 +295,74 @@ def _emit(node, per_node: list, per_child: list, reads: set) -> tuple:
     name = f"t{len(per_node) + len(per_child)}"
     code = _OP_CODE[node.op]
     b = operands[1] if len(operands) == 2 else None
-    (per_child if varies else per_node).append(
-        [line.format(r=name, a=operands[0], b=b) for line in code]
+    (per_child if varies else per_node).extend(
+        line.format(r=name, a=operands[0], b=b) for line in code
     )
     return name, varies
 
 
-def _indent(blocks: list, depth: int) -> list:
-    pad = "    " * depth
-    return [pad + line for block in blocks for line in block]
+def compile_descent(level_lines: list, child_lines: list, score: str):
+    """Build ``descend(node, rng) -> path`` around one scoring rule.
+
+    The one descent skeleton, for UCB1 and for compiled formulas alike.
+    From ``node``, while the node has no untried action and has
+    children, it runs ``level_lines`` once (they may read ``node``),
+    then for each ``child`` the ``child_lines``, after which the
+    expression ``score`` is the child's score, and it moves to the child
+    with the top score.  When several children tie exactly at the top it moves to the
+    one at ``draw_index(rng, len(ties))`` among them in creation order:
+    a single winner leaves the RNG untouched, and the list of ties is
+    built only on a tie.  Returns the path walked, the nodes from
+    ``node`` to the node it stops at, both included; raises ValueError
+    when no child of a level scores above -inf (``pick`` is set only on
+    a score above the running best, which starts at -inf).
+
+    The lines may call ``log`` and ``sqrt``.  The descent calls the
+    ``draw_index`` this module holds when the descent is built.
+    """
+    source = "\n".join(
+        [
+            "def descend(node, rng):",
+            "    path = [node]",
+            "    while not node.untried and node.children:",
+            *["        " + line for line in level_lines],
+            "        best = _NEG_INF",
+            "        pick = ties = None",
+            "        for child in node.children:",
+            *["            " + line for line in child_lines],
+            f"            if {score} > best:",
+            f"                best = {score}",
+            "                pick = child",
+            "                ties = None",
+            f"            elif {score} == best:",
+            "                if ties is None:",
+            "                    ties = [pick, child]",
+            "                else:",
+            "                    ties.append(child)",
+            "        if pick is None:",
+            '            raise ValueError("selection scored no child above -inf")',
+            "        node = pick if ties is None else ties[draw_index(rng, len(ties))]",
+            "        path.append(node)",
+            "    return path",
+        ]
+    )
+    namespace = {
+        "log": math.log,
+        "sqrt": math.sqrt,
+        "_NEG_INF": -math.inf,
+        "draw_index": draw_index,
+    }
+    exec(compile(source, "<compiled descent>", "exec"), namespace)
+    # Popped, so the function is not in the globals it holds: no cycle.
+    return namespace.pop("descend")
 
 
 def compile_chooser(expression: Expression):
     """Build the search's ``descend(node, rng) -> path`` from the tree.
 
-    From ``node``, while the node has no untried action and has
-    children, scores each child ``c`` as ``evaluate(expression,
-    NodeContext(c.total_reward / c.visits, node.visits, c.visits))``
-    does, bit for bit, and moves to the child with the top score; when
-    several children tie exactly at the top, to the one at
-    ``draw_index(rng, len(ties))`` among them in creation order.  A
-    single winner leaves the RNG untouched, and the list of ties is
-    built only on a tie.  Returns the path walked, the nodes from
-    ``node`` to the node it stops at, both included; raises ValueError
-    when no child of a level scores above -inf.
+    The :func:`compile_descent` walk, scoring each child ``c`` bit for
+    bit as ``evaluate(expression, NodeContext(c.total_reward /
+    c.visits, node.visits, c.visits))`` does.
 
     Constants are written with ``repr`` (exact for the finite floats
     ``Const`` admits), Np and Nc are converted with ``float()`` as
@@ -357,39 +377,14 @@ def compile_chooser(expression: Expression):
     per_child: list = []
     reads: set = set()
     result, _ = _emit(expression.root, per_node, per_child, reads)
-    level_stats = ["        n_parent = float(node.visits)"] if "Np" in reads else []
-    child_stats = []
+    level_lines = ["n_parent = float(node.visits)"] if "Np" in reads else []
+    child_lines = []
     if "Nc" in reads:
-        child_stats.append("            n_child = float(child.visits)")
+        child_lines.append("n_child = float(child.visits)")
     if "Q" in reads:
         visits = "n_child" if "Nc" in reads else "child.visits"
-        child_stats.append(f"            q = child.total_reward / {visits}")
-    source = "\n".join(
-        [
-            "def descend(node, rng):",
-            "    path = [node]",
-            "    while not node.untried and node.children:",
-            *level_stats,
-            *_indent(per_node, 2),
-            "        best, pick, ties = _LEVEL_START",
-            "        for child in node.children:",
-            *child_stats,
-            *_indent(per_child, 3),
-            f"            if {result} > best:",
-            f"                best = {result}",
-            "                pick = child",
-            "                ties = None",
-            f"            elif {result} == best:",
-            "                ties = _add_tie(ties, pick, child)",
-            "        node = _next_node(pick, ties, rng)",
-            "        path.append(node)",
-            "    return path",
-        ]
-    )
-    namespace = dict(_COMPILED_GLOBALS)
-    exec(compile(source, "<compiled expression>", "exec"), namespace)
-    # Popped, so the function is not in the globals it holds: no cycle.
-    return namespace.pop("descend")
+        child_lines.append(f"q = child.total_reward / {visits}")
+    return compile_descent(level_lines + per_node, child_lines + per_child, result)
 
 
 def uct_seed(c: float) -> Expression:

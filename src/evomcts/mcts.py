@@ -17,8 +17,11 @@ is the only record of ancestry, and backpropagation walks it: a node
 has no link to its parent, so a tree holds no reference cycle and is
 freed as soon as its root is dropped.  Two policies are provided:
 closed-form UCB1 with a fixed exploration constant, and an expression
-tree compiled into a descent.  Each also scores one child when called
-as ``policy(q, n_parent, n_child)``, the reference its ``descend``
+tree.  One compiler, :func:`~evomcts.expr.compile_descent`, builds both
+policies' ``descend`` from the lines that score a child; the walk, the
+tie bookkeeping, the tie-break draw and the -inf check are written
+there once.  Each policy also scores one child when called as
+``policy(q, n_parent, n_child)``, the reference its ``descend``
 reproduces bit for bit.
 
 RNG protocol (all determinism and the trace tests rest on this): the
@@ -29,9 +32,10 @@ as CPython 3.11's ``randrange`` does, so the values and the stream state
 afterwards are the same; uniform floats come from ``rng.random()``.
 Score ties during selection consult the RNG only when at least two
 children are tied at the maximum, and pick among the tied children in
-creation order; expansion pops a uniformly random untried action; a
-rollout (``env.playout``) makes, per step, the draw
-``randrange(branching)`` would make, written inline the same way.
+creation order (written in ``compile_descent``'s skeleton); expansion
+pops a uniformly random untried action; a rollout (``env.playout``)
+makes, per step, the draw ``randrange(branching)`` would make, written
+inline the same way.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from __future__ import annotations
 import math
 import random
 
-from .expr import Expression, NodeContext, compile_chooser, draw_index, evaluate
+from .expr import Expression, NodeContext, compile_chooser, compile_descent, draw_index, evaluate
 
 __all__ = [
     "SearchNode",
@@ -96,51 +100,28 @@ class SearchNode:
 
 
 class UctPolicy:
-    """Closed-form UCB1 score: q + c * sqrt(2 * ln(n_parent) / n_child)."""
+    """Closed-form UCB1 score: q + c * sqrt(2 * ln(n_parent) / n_child).
+
+    ``descend`` is built by :func:`~evomcts.expr.compile_descent`, with
+    ``c`` written into its source and ``2.0 * log(n_parent)`` computed
+    once per level: ``2.0 * log(n_parent) / n_child`` evaluates left to
+    right, so the hoisting leaves every score unchanged.
+    """
 
     def __init__(self, c: float):
         self.c = float(c)
+        # An infinite c scores every child inf, so each level would be an
+        # exact tie, and NaN scores none; nor is either repr a float literal.
+        if not math.isfinite(self.c):
+            raise ValueError(f"uct exploration constant must be finite, got {self.c!r}")
+        self.descend = compile_descent(
+            ["k = 2.0 * log(node.visits)"],
+            ["n = child.visits", f"score = child.total_reward / n + {self.c!r} * sqrt(k / n)"],
+            "score",
+        )
 
     def __call__(self, q: float, n_parent: int, n_child: int) -> float:
         return q + self.c * math.sqrt(2.0 * math.log(n_parent) / n_child)
-
-    def descend(self, node: SearchNode, rng: random.Random) -> list:
-        """Walk down by top ``__call__`` score, bit for bit, to the node
-        to expand, and return the path walked (see the module docstring).
-
-        ``2.0 * log(n_parent) / n_child`` evaluates left to right, so
-        hoisting ``2.0 * log(n_parent)`` out of the child loop leaves
-        every score unchanged.  The best child is remembered on its own;
-        a list is built only on an exact tie.  The level's end is written
-        out here rather than through the compiled descent's helpers,
-        whose call per level made a descent of a 5,000-iteration tree
-        about 6% slower.
-        """
-        c = self.c
-        log, sqrt = math.log, math.sqrt
-        neg_inf = -math.inf
-        path = [node]
-        while not node.untried and node.children:
-            k = 2.0 * log(node.visits)
-            best = neg_inf
-            pick = ties = None
-            for child in node.children:
-                n = child.visits
-                score = child.total_reward / n + c * sqrt(k / n)
-                if score > best:
-                    best = score
-                    pick = child
-                    ties = None
-                elif score == best:
-                    if ties is None:
-                        ties = [pick, child]
-                    else:
-                        ties.append(child)
-            if best == neg_inf:
-                raise ValueError(f"policy {self!r} scored no child above -inf")
-            node = pick if ties is None else ties[draw_index(rng, len(ties))]
-            path.append(node)
-        return path
 
     def __repr__(self):
         return f"UctPolicy(c={self.c!r})"

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from evomcts import cli
+from evomcts import cli, mcts
 from evomcts.analysis import aggregate, run_report
 from evomcts.bench import FunctionEnv
 from evomcts.cli import (
@@ -339,6 +339,23 @@ class TestRunExperiment:
         with pytest.raises(OSError, match="disk full"):
             run_experiment(_uct_cfg(tmp_path, runs=3, iterations=20, workers=2))
         assert calls == [("start", 2), ("shutdown", False, True), ("exit", OSError)]
+
+    def test_runs_share_one_policy_per_constant(self, tmp_path, monkeypatch):
+        # Building a UCB1 policy compiles its descent, which made short
+        # runs markedly slower when every run built its own.
+        compiled = []
+        compile_descent = mcts.compile_descent
+
+        def counting_compile(*args):
+            compiled.append(args)
+            return compile_descent(*args)
+
+        monkeypatch.setattr(mcts, "compile_descent", counting_compile)
+        cli._uct_policy.cache_clear()
+        agents = [AgentSpec("uct", 0.5), AgentSpec("uct", 1.0)]
+        cfg = _uct_cfg(tmp_path, functions=["f1", "f2"], agents=agents, runs=3, iterations=20)
+        run_experiment(cfg)
+        assert len(compiled) == 2
 
     def test_visit_weighted_export(self, tmp_path):
         cfg = _uct_cfg(tmp_path, visit_weighted=True, bins=50)

@@ -89,21 +89,34 @@ class TestPolicies:
                 assert policy(q, n_parent, n_child) == closed_form_uct(q, n_parent, n_child, c)
 
     def test_expression_policy_equals_uct_policy(self):
+        # None of the seed tree's protected fallbacks or saturations fire
+        # on search statistics, so the two agree bit for bit.
         rng = random.Random(52)
-        for c in K_VALUES:
+        for c in (*K_VALUES, 0.7, 1e-3, 0.0, -1.0, 123.456):
             tree_policy = ExpressionPolicy(uct_seed(c))
             closed = UctPolicy(c)
             for _ in range(200):
                 n_parent = rng.randrange(1, 10_000)
                 n_child = rng.randrange(1, n_parent + 1)
                 stats = (rng.random(), n_parent, n_child)
-                assert abs(tree_policy(*stats) - closed(*stats)) <= 1e-9
+                assert tree_policy(*stats) == closed(*stats)
+
+    @pytest.mark.parametrize("c", [math.inf, -math.inf, math.nan])
+    def test_uct_policy_rejects_non_finite_c(self, c):
+        # An infinite c scored every child inf: each level an exact tie,
+        # so the descent was a uniform random walk.
+        with pytest.raises(ValueError, match="must be finite"):
+            UctPolicy(c)
+
+    def test_both_policies_descend_through_one_compiler(self):
+        descents = [UctPolicy(1.0).descend, ExpressionPolicy(uct_seed(1.0)).descend]
+        assert [d.__code__.co_filename for d in descents] == ["<compiled descent>"] * 2
 
     def test_uct_descent_matches_generic_loop(self):
         # Equal statistics give exact ties; the hoisted 2*log(n_parent)
         # must leave every score, and so every tie list, unchanged.
         rng = random.Random(60)
-        for c in (*K_VALUES, 0.7, 1e-3):
+        for c in (*K_VALUES, 0.7, 1e-3, 0.0, -1.0):
             policy = UctPolicy(c)
             for _ in range(300):
                 pool = [(rng.randrange(1, 50), rng.randrange(0, 50) * 0.5) for _ in range(3)]
@@ -563,6 +576,7 @@ class TestNoReferenceCycles:
             lambda: run_search(
                 FunctionEnv("f2"), ExpressionPolicy(uct_seed(1.0)), 300, random.Random(91)
             ),
+            lambda: UctPolicy(1.0),
             lambda: ExpressionPolicy(parse("(add Q (div (k 1.0) Nc))")),
             lambda: evaluate_individual(uct_seed(1.0), FunctionEnv("f2"), 30, random.Random(92)),
             lambda: run_siea_search(
@@ -572,7 +586,14 @@ class TestNoReferenceCycles:
                 random.Random(93),
             ),
         ],
-        ids=["uct-search", "expression-search", "expression-policy", "evaluation", "siea"],
+        ids=[
+            "uct-search",
+            "expression-search",
+            "uct-policy",
+            "expression-policy",
+            "evaluation",
+            "siea",
+        ],
     )
     def test_search_leaves_no_garbage_cycles(self, search):
         gc.collect()
