@@ -30,10 +30,24 @@ those lines, or ``UctPolicy``'s closed-form UCB1 lines, in the walk, and
 the selection half of the RNG protocol in ``mcts``'s docstring (ties
 kept in creation order, one ``draw_index`` draw only on a tie) is
 written there and nowhere else.
+
+A formula takes one of two routes to ``descend``, by how often it will
+score.  :func:`compile_chooser` pays ``compile()`` once, about 370 us
+for an evolved formula (1,600 offspring of 20 evolved runs, 9.4 nodes
+on average), and then scores a child in about 0.56 us: the route for a
+formula deployed for thousands of iterations.  :func:`scorer_descent`
+compiles nothing: it builds :func:`build_scorer`'s closures, one per
+operator node (about 8 us per formula), and hands them to the same
+walk; a child then costs about 0.97 us.  The two break even near 870
+scored children, and an offspring's 30-iteration fitness evaluation
+scores a few hundred, so it takes the closure route.  Both give the
+same paths and RNG states, bit for bit.  The closure route's walk and
+its operator factories are compiled once, at import (about 7 ms).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -54,6 +68,8 @@ __all__ = [
     "draw_index",
     "compile_descent",
     "compile_chooser",
+    "build_scorer",
+    "scorer_descent",
     "uct_seed",
     "random_subtree",
     "mutate",
@@ -253,12 +269,12 @@ def draw_index(rng: random.Random, n: int) -> int:
 
 
 # Compiled formulas write every operator inline, as the statements below
-# (``{r}`` the result, ``{a}``/``{b}`` the operands), with each comparison
-# in the direction and order the interpreter makes it, so NaN and -0.0
-# take the same branches as in protected_div, protected_log and _saturate.
+# (``{r}`` the result, ``{a}``/``{b}`` the operands), and scorer closures
+# run the same statements, with each comparison in the direction and
+# order the interpreter makes it, so NaN and -0.0 take the same branches
+# as in protected_div, protected_log and _saturate.
 # Saturation is one conditional expression rather than an if/elif
-# statement: the same tests, but cheaper to compile, and a search
-# compiles a formula for every offspring it evaluates.
+# statement: the same tests, but cheaper to compile.
 _SATURATE = (
     f"{{r}} = {_MAX_ABS!r} if {{r}} > {_MAX_ABS!r} "
     f"else {-_MAX_ABS!r} if {{r}} < {-_MAX_ABS!r} else {{r}}"
@@ -301,49 +317,53 @@ def _emit(node, per_node: list, per_child: list, reads: set) -> tuple:
     return name, varies
 
 
-def compile_descent(level_lines: list, child_lines: list, score: str):
-    """Build ``descend(node, rng) -> path`` around one scoring rule.
+def _descent_factory(level_lines: list, child_lines: list, score: str, free: tuple = ()):
+    """Build ``make(*free) -> descend``, the one descent skeleton.
 
-    The one descent skeleton, for UCB1 and for compiled formulas alike.
-    From ``node``, while the node has no untried action and has
-    children, it runs ``level_lines`` once (they may read ``node``),
-    then for each ``child`` the ``child_lines``, after which the
-    expression ``score`` is the child's score, and it moves to the child
-    with the top score.  When several children tie exactly at the top it moves to the
-    one at ``draw_index(rng, len(ties))`` among them in creation order:
-    a single winner leaves the RNG untouched, and the list of ties is
-    built only on a tie.  Returns the path walked, the nodes from
-    ``node`` to the node it stops at, both included; raises ValueError
-    when no child of a level scores above -inf (``pick`` is set only on
-    a score above the running best, which starts at -inf).
+    ``descend(node, rng) -> path`` serves UCB1, compiled formulas and
+    scorer-built formulas alike.  From ``node``, while the node has no
+    untried action and has children, it runs ``level_lines`` once (they
+    may read ``node``), then for each ``child`` the ``child_lines``,
+    after which the expression ``score`` is the child's score, and it
+    moves to the child with the top score.  When several children tie
+    exactly at the top it moves to the one at ``draw_index(rng,
+    len(ties))`` among them in creation order: a single winner leaves
+    the RNG untouched, and the list of ties is built only on a tie.
+    Returns the path walked, the nodes from ``node`` to the node it
+    stops at, both included; raises ValueError when no child of a level
+    scores above -inf (``pick`` is set only on a score above the running
+    best, which starts at -inf).
 
-    The lines may call ``log`` and ``sqrt``.  The descent calls the
-    ``draw_index`` this module holds when the descent is built.
+    The lines may call ``log`` and ``sqrt``, and read the names in
+    ``free``, which are bound by each call of ``make``.  The descent
+    calls the ``draw_index`` this module holds when the factory is built.
     """
     source = "\n".join(
         [
-            "def descend(node, rng):",
-            "    path = [node]",
-            "    while not node.untried and node.children:",
-            *["        " + line for line in level_lines],
-            "        best = _NEG_INF",
-            "        pick = ties = None",
-            "        for child in node.children:",
-            *["            " + line for line in child_lines],
-            f"            if {score} > best:",
-            f"                best = {score}",
-            "                pick = child",
-            "                ties = None",
-            f"            elif {score} == best:",
-            "                if ties is None:",
-            "                    ties = [pick, child]",
-            "                else:",
-            "                    ties.append(child)",
-            "        if pick is None:",
-            '            raise ValueError("selection scored no child above -inf")',
-            "        node = pick if ties is None else ties[draw_index(rng, len(ties))]",
-            "        path.append(node)",
-            "    return path",
+            f"def make({', '.join(free)}):",
+            "    def descend(node, rng):",
+            "        path = [node]",
+            "        while not node.untried and node.children:",
+            *["            " + line for line in level_lines],
+            "            best = _NEG_INF",
+            "            pick = ties = None",
+            "            for child in node.children:",
+            *["                " + line for line in child_lines],
+            f"                if {score} > best:",
+            f"                    best = {score}",
+            "                    pick = child",
+            "                    ties = None",
+            f"                elif {score} == best:",
+            "                    if ties is None:",
+            "                        ties = [pick, child]",
+            "                    else:",
+            "                        ties.append(child)",
+            "            if pick is None:",
+            '                raise ValueError("selection scored no child above -inf")',
+            "            node = pick if ties is None else ties[draw_index(rng, len(ties))]",
+            "            path.append(node)",
+            "        return path",
+            "    return descend",
         ]
     )
     namespace = {
@@ -354,7 +374,14 @@ def compile_descent(level_lines: list, child_lines: list, score: str):
     }
     exec(compile(source, "<compiled descent>", "exec"), namespace)
     # Popped, so the function is not in the globals it holds: no cycle.
-    return namespace.pop("descend")
+    return namespace.pop("make")
+
+
+def compile_descent(level_lines: list, child_lines: list, score: str):
+    """Compile ``descend(node, rng) -> path`` around one scoring rule
+    written as source lines: the :func:`_descent_factory` skeleton with
+    no free names."""
+    return _descent_factory(level_lines, child_lines, score)()
 
 
 def compile_chooser(expression: Expression):
@@ -385,6 +412,111 @@ def compile_chooser(expression: Expression):
         visits = "n_child" if "Nc" in reads else "child.visits"
         child_lines.append(f"q = child.total_reward / {visits}")
     return compile_descent(level_lines + per_node, child_lines + per_child, result)
+
+
+# How an operator's closure reads an operand: a variable inline, "k" a
+# constant bound when the closure is made, "f" a call to the operand's
+# own closure.
+_OPERAND_KINDS = ("Q", "Np", "Nc", "k", "f")
+
+
+def _operator_scorers() -> dict:
+    # ``make(a, b) -> score`` for each operator and each kind of its
+    # operands, where ``score(q, n_parent, n_child)`` runs the
+    # operator's _OP_CODE lines, the ones compiled formulas run inline.
+    # ``a`` and ``b`` are the constants and the closures the operands
+    # need.  A closure operand read twice is called once, first;
+    # closures are pure, so the order of the calls changes no result.
+    lines = []
+    names = {}
+    for op, code in _OP_CODE.items():
+        args = ("a", "b") if op in _BINARY_OPS else ("a",)
+        for kinds in itertools.product(_OPERAND_KINDS, repeat=len(args)):
+            names[(op, *kinds)] = name = "_".join(("make", op, *kinds))
+            lines += [f"def {name}({', '.join(args)}):", "    def score(q, n_parent, n_child):"]
+            operands = {}
+            for x, kind in zip(args, kinds):
+                if kind != "f":
+                    operands[x] = x if kind == "k" else _VAR_CODE[kind][0]
+                elif "".join(code).count(f"{{{x}}}") == 1:
+                    operands[x] = f"{x}(q, n_parent, n_child)"
+                else:
+                    lines.append(f"        {x}v = {x}(q, n_parent, n_child)")
+                    operands[x] = f"{x}v"
+            lines += ["        " + line.format(r="r", **operands) for line in code]
+            lines += ["        return r", "    return score"]
+    namespace = {"log": math.log, "sqrt": math.sqrt}
+    exec(compile("\n".join(lines), "<operator scorers>", "exec"), namespace)
+    return {key: namespace.pop(name) for key, name in names.items()}
+
+
+_OP_SCORERS = _operator_scorers()
+_VAR_SCORERS = {
+    "Q": lambda q, n_parent, n_child: q,
+    "Np": lambda q, n_parent, n_child: n_parent,
+    "Nc": lambda q, n_parent, n_child: n_child,
+}
+
+
+def _scorer(func):
+    # The closure of an operator node: one frame per tree level, built
+    # and called, as in the interpreter.
+    kinds, made_with = [], []
+    for child in func.args:
+        kind = type(child)
+        if kind is Func:
+            kinds.append("f")
+            made_with.append(_scorer(child))
+        elif kind is Const:
+            kinds.append("k")
+            made_with.append(child.value)
+        else:
+            kinds.append(child.name)
+            made_with.append(None)
+    return _OP_SCORERS[(func.op, *kinds)](*made_with)
+
+
+def build_scorer(expression: Expression):
+    """Build ``score(q, n_parent, n_child)`` from the tree, without compiling.
+
+    For float ``n_parent`` and ``n_child`` it returns the bits
+    ``evaluate(expression, NodeContext(q, n_parent, n_child))`` returns.
+    Each operator node is one closure that runs the statements a
+    compiled formula runs inline for it, with the interpreter's
+    arithmetic and comparisons in the same order, so NaN, -0.0, the
+    0.001 guards and the saturation at +-1e300 take the same branches.
+    An operator reads a variable or constant operand inline and calls
+    the closure of an operator operand.  The closures are made by one
+    factory per operator and kinds of operand, all compiled once, at
+    import; building a scorer compiles nothing.
+    """
+    root = expression.root
+    kind = type(root)
+    if kind is Func:
+        return _scorer(root)
+    if kind is Const:
+        value = root.value
+        return lambda q, n_parent, n_child: value
+    return _VAR_SCORERS[root.name]
+
+
+_make_scored_descent = _descent_factory(
+    ["n_parent = float(node.visits)"],
+    ["n_child = float(child.visits)", "s = score(child.total_reward / n_child, n_parent, n_child)"],
+    "s",
+    ("score",),
+)
+
+
+def scorer_descent(expression: Expression):
+    """The search's ``descend(node, rng) -> path`` for the tree, compiling nothing.
+
+    The :func:`_descent_factory` walk, compiled once, at import, around
+    one :func:`build_scorer` call per child: the same paths and RNG
+    state as :func:`compile_chooser`'s descent, at no ``compile()``
+    cost, but with one Python call per operator node and child.
+    """
+    return _make_scored_descent(build_scorer(expression))
 
 
 def uct_seed(c: float) -> Expression:

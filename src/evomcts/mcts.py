@@ -20,7 +20,10 @@ closed-form UCB1 with a fixed exploration constant, and an expression
 tree.  One compiler, :func:`~evomcts.expr.compile_descent`, builds both
 policies' ``descend`` from the lines that score a child; the walk, the
 tie bookkeeping, the tie-break draw and the -inf check are written
-there once.  Each policy also scores one child when called as
+there once.  The same skeleton, compiled once per process, walks the
+tree for :func:`~evomcts.expr.scorer_descent`, which scores a formula
+through closures and compiles nothing; ``siea`` evaluates offspring
+with it.  Each policy also scores one child when called as
 ``policy(q, n_parent, n_child)``, the reference its ``descend``
 reproduces bit for bit.
 

@@ -15,6 +15,13 @@ The strategy is comma-selection: the parent never competes with its
 offspring, and the formula used after evolution is the best-of-run by
 fitness (most recent on ties), not the final parent, since a comma
 strategy can walk away from its best individual.
+
+An offspring's fitness evaluation scores a few hundred children, too
+few to repay a ``compile()``, so it walks the tree through closures
+(:func:`~evomcts.expr.scorer_descent`).  Only the best-of-run formula,
+which then scores children for thousands of iterations, is compiled, by
+:class:`~evomcts.mcts.ExpressionPolicy`.  Both routes score bit for bit
+as :func:`~evomcts.expr.evaluate` does.
 """
 
 from __future__ import annotations
@@ -22,8 +29,9 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from types import SimpleNamespace
 
-from .expr import Expression, mutate, uct_seed
+from .expr import Expression, mutate, scorer_descent, uct_seed
 from .mcts import ExpressionPolicy, create_root, run_iteration, run_search
 
 __all__ = [
@@ -62,6 +70,12 @@ class EvolutionConfig:
     beta: float = 10.0
 
     def __post_init__(self):
+        # A float or bool count would construct and then fail inside
+        # evolve, or (True) count as 1.
+        for name in ("lambda_", "generations", "sims_per_eval"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.lambda_ < 1:
             raise ValueError("lambda_ must be >= 1")
         if self.generations < 0:
@@ -101,12 +115,16 @@ def evaluate_individual(expression: Expression, env, sims: int, rng: random.Rand
     Works on a fresh root-only tree (building it draws no randomness)
     and discards the tree afterwards; only the reward trace survives.
     Semantics entry i is the rollout reward of iteration i, fitness is
-    their mean.
+    their mean.  The formula's :func:`~evomcts.expr.scorer_descent`
+    walks the tree, compiling nothing: the same draws and rewards as a
+    ``run_search`` of ``sims`` iterations with
+    ``ExpressionPolicy(expression)``.
     """
     if sims < 1:
         raise ValueError("sims must be >= 1")
     tree = create_root(env)
-    policy = ExpressionPolicy(expression)
+    # A policy is whatever provides descend; nothing here calls it to score.
+    policy = SimpleNamespace(descend=scorer_descent(expression))
     semantics = []
     for _ in range(sims):
         before = tree.total_reward
@@ -155,8 +173,10 @@ def select_parent(
 def evolve(env, config: EvolutionConfig, rng: random.Random):
     """Run the evolutionary loop; returns (best_individual, history).
 
-    Every offspring in every generation is evaluated on its own fresh
-    root-only tree, so fitness differences come from the formulas alone.
+    Every offspring in every generation is evaluated by
+    :func:`evaluate_individual` on its own fresh root-only tree, so
+    fitness differences come from the formulas alone; no offspring
+    formula is compiled.
     Exactly ``config.eval_budget`` reward draws are consumed.
     ``history`` holds one JSON-ready record per generation: parent, all
     offspring with fitness and distance-to-parent, the selected index
@@ -206,8 +226,13 @@ def run_siea_search(env, config: EvolutionConfig, post_iterations: int, rng: ran
     expansion log of the post-evolution search (``post_iterations``
     iterations), the best-of-run individual whose formula drove it, and
     the per-generation history.  Total reward draws are exactly
-    ``config.eval_budget + post_iterations``.
+    ``config.eval_budget + post_iterations``.  The best-of-run formula
+    is the one formula the run compiles, as its ``ExpressionPolicy``.
+    Raises ValueError for ``post_iterations < 1`` before evolving.
     """
+    # Checked here, before evolution spends its draws, not in run_search.
+    if post_iterations < 1:
+        raise ValueError("post_iterations must be >= 1")
     best, history = evolve(env, config, rng)
     root, log = run_search(env, ExpressionPolicy(best.expression), post_iterations, rng)
     return root, log, best, history

@@ -3,6 +3,7 @@ selection rule, random growth, subtree mutation, and serialisation."""
 
 import math
 import random
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from evomcts.expr import (
     K_VALUES,
     NodeContext,
     Var,
+    build_scorer,
     compile_chooser,
     evaluate,
     mutate,
@@ -25,10 +27,16 @@ from evomcts.expr import (
     protected_log,
     protected_sqrt,
     random_subtree,
+    scorer_descent,
     uct_seed,
 )
 
 ANY_CTX = NodeContext(0.5, 10.0, 5.0)
+
+# The two routes from a tree to a descent: the tree compiled as source,
+# and the tree's closures around a walk compiled at import.  Each must
+# match the interpreter on every input the tests below draw.
+DESCENT_BUILDERS = (compile_chooser, scorer_descent)
 
 
 def _walk(node):
@@ -428,7 +436,17 @@ class TestTotalisation:
     def test_chooser_matches_interpreter_ties(self, root, n_parent, children):
         e = Expression(root)
         want = _reference_ties(e, n_parent, children)
-        assert_descent_picks(compile_chooser(e), one_level_root(n_parent, children), want)
+        for build in DESCENT_BUILDERS:
+            assert_descent_picks(build(e), one_level_root(n_parent, children), want)
+
+    @given(root=_trees, q=_finite, n_parent=_finite, n_child=_finite)
+    @settings(max_examples=300)
+    def test_scorer_matches_interpreter_bits(self, root, q, n_parent, n_child):
+        e = Expression(root)
+        score = build_scorer(e)
+        for ctx in (NodeContext(q, n_parent, n_child), NodeContext(n_child, q, n_parent)):
+            got, want = score(*ctx), evaluate(e, ctx)
+            assert struct.pack("<d", got) == struct.pack("<d", want)
 
     @pytest.mark.parametrize("op", ["add", "sub", "mul", "div", "log", "sqrt"])
     def test_compiled_matches_interpreter_on_edges(self, op):
@@ -442,20 +460,22 @@ class TestTotalisation:
         # children must come back in the interpreter's order, ties and
         # NaN (which loses every comparison) included.
         e = Expression(Func(op, (Var("Q"), Var("Nc"))[:arity]))
-        descend = compile_chooser(e)
         pairs = [leaf(n, _Reward(q)) for q in edges for n in edges]
-        for i, a in enumerate(pairs):
-            for b in pairs[i:]:
-                want = _reference_ties(e, 3, [a, b])
-                assert_descent_picks(descend, one_level_root(3, [a, b]), want)
+        for build in DESCENT_BUILDERS:
+            descend = build(e)
+            for i, a in enumerate(pairs):
+                for b in pairs[i:]:
+                    want = _reference_ties(e, 3, [a, b])
+                    assert_descent_picks(descend, one_level_root(3, [a, b]), want)
         # The operator once per child, and once per node.
         children = [leaf(1, q) for q in edges]
         per_node = Func(op, (Var("Np"), Var("Np"))[:arity])
         for root in (Func(op, (Var("Q"), Var("Np"))[:arity]), Func("sub", (per_node, Var("Q")))):
-            descend = compile_chooser(Expression(root))
-            for n_parent in edges:
-                want = _reference_ties(Expression(root), n_parent, children)
-                assert_descent_picks(descend, one_level_root(n_parent, children), want)
+            for build in DESCENT_BUILDERS:
+                descend = build(Expression(root))
+                for n_parent in edges:
+                    want = _reference_ties(Expression(root), n_parent, children)
+                    assert_descent_picks(descend, one_level_root(n_parent, children), want)
 
     def test_chooser_on_deep_tree(self):
         node = Var("Nc")
@@ -463,11 +483,14 @@ class TestTotalisation:
             node = Func("add", (node, Const(0.5)))
         children = [leaf(v, 0.0) for v in (3, 1, 3)]
         root = one_level_root(7, children)
-        assert_descent_picks(compile_chooser(Expression(node)), root, [children[0], children[2]])
+        for build in DESCENT_BUILDERS:
+            assert_descent_picks(build(Expression(node)), root, [children[0], children[2]])
 
     def test_compiled_tree_deeper_than_parser_nesting(self):
         # One statement per node: a 300-deep chain would exceed the
         # nesting limit of Python's parser as a single nested expression.
+        # The scorer's closures nest 300 calls deep, as the interpreter
+        # does.
         # The chain reads only Np, so it runs in the per-node stage; the
         # score Q - chain * Nc ties the three children exactly when the
         # chain's value is 1.0, as the interpreter computes it.
@@ -479,7 +502,8 @@ class TestTotalisation:
         children = [leaf(v, v * v) for v in (1, 2, 3)]
         want = _reference_ties(e, 7, children)
         assert want == children
-        assert_descent_picks(compile_chooser(e), one_level_root(7, children), want)
+        for build in DESCENT_BUILDERS:
+            assert_descent_picks(build(e), one_level_root(7, children), want)
 
     def test_saturation_on_product_towers(self):
         # A balanced tower of 128 multiplied parent counts overflows

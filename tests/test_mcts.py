@@ -5,6 +5,7 @@ no search leaves reference cycles behind."""
 import gc
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -110,7 +111,10 @@ class TestPolicies:
 
     def test_both_policies_descend_through_one_compiler(self):
         descents = [UctPolicy(1.0).descend, ExpressionPolicy(uct_seed(1.0)).descend]
-        assert [d.__code__.co_filename for d in descents] == ["<compiled descent>"] * 2
+        descents.append(expr.scorer_descent(uct_seed(1.0)))
+        assert [d.__code__.co_filename for d in descents] == ["<compiled descent>"] * 3
+        # The scorer-built descents share one code object, compiled once.
+        assert descents[2].__code__ is expr.scorer_descent(parse("Q")).__code__
 
     def test_uct_descent_matches_generic_loop(self):
         # Equal statistics give exact ties; the hoisted 2*log(n_parent)
@@ -564,10 +568,11 @@ class TestCloneAndBestChild:
 
 
 class TestNoReferenceCycles:
-    """Nodes link only to their children and a compiled formula is not
-    in its own globals, so reference counting frees every search's
-    objects when its result is dropped, with nothing left for the cyclic
-    garbage collector."""
+    """Nodes link only to their children, a compiled formula is not in
+    its own globals and a scorer's closures link only down the formula
+    tree, so reference counting frees every search's objects when its
+    result is dropped, with nothing left for the cyclic garbage
+    collector."""
 
     @pytest.mark.parametrize(
         "search",
@@ -578,6 +583,12 @@ class TestNoReferenceCycles:
             ),
             lambda: UctPolicy(1.0),
             lambda: ExpressionPolicy(parse("(add Q (div (k 1.0) Nc))")),
+            lambda: run_search(
+                FunctionEnv("f2"),
+                SimpleNamespace(descend=expr.scorer_descent(uct_seed(1.0))),
+                300,
+                random.Random(94),
+            ),
             lambda: evaluate_individual(uct_seed(1.0), FunctionEnv("f2"), 30, random.Random(92)),
             lambda: run_siea_search(
                 FunctionEnv("f2"),
@@ -591,6 +602,7 @@ class TestNoReferenceCycles:
             "expression-search",
             "uct-policy",
             "expression-policy",
+            "scorer-search",
             "evaluation",
             "siea",
         ],

@@ -10,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import tree_signature
+from evomcts import expr
 from evomcts.bench import FunctionEnv
-from evomcts.expr import DEFAULT_MAX_DEPTH, parse, uct_seed
+from evomcts.expr import DEFAULT_MAX_DEPTH, parse, random_subtree, uct_seed
 from evomcts.mcts import ExpressionPolicy, run_search
 from evomcts.siea import (
     EvolutionConfig,
@@ -187,6 +188,38 @@ class TestEvaluateIndividual:
         evaluate_individual(uct_seed(1.0), env, 17, random.Random(90))
         assert env.reward_draws == 17
 
+    @given(
+        tree_seed=st.integers(0, 2**32 - 1),
+        seed=st.integers(0, 2**32 - 1),
+        function=st.sampled_from(["f1", "f2", "f3", "f4", "f5"]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_same_run_as_a_compiled_search(self, tree_seed, seed, function):
+        # Random evolved-size formulas: the scorer-built descent that
+        # evaluates offspring must walk exactly as the compiled one.
+        e = random_subtree(DEFAULT_MAX_DEPTH, random.Random(tree_seed))
+        env_eval, env_search = _RecordingEnv(function), _RecordingEnv(function)
+        rng_eval, rng_search = random.Random(seed), random.Random(seed)
+        got = evaluate_individual(e, env_eval, 30, rng_eval)
+        run_search(env_search, ExpressionPolicy(e), 30, rng_search)
+        assert got.semantics == env_search.rewards
+        assert got.fitness == sum(env_search.rewards) / 30
+        assert rng_eval.getstate() == rng_search.getstate()
+        assert env_eval.reward_draws == env_search.reward_draws == 30
+
+
+class _RecordingEnv(FunctionEnv):
+    """Keeps every reward it hands out, in order."""
+
+    def __init__(self, function):
+        super().__init__(function)
+        self.rewards = []
+
+    def sample_reward(self, state, rng):
+        reward = super().sample_reward(state, rng)
+        self.rewards.append(reward)
+        return reward
+
 
 class TestEvolutionConfig:
     def test_defaults_budget(self):
@@ -203,6 +236,14 @@ class TestEvolutionConfig:
             EvolutionConfig(sims_per_eval=0)
         with pytest.raises(ValueError):
             EvolutionConfig(alpha=10.0, beta=10.0)
+
+    @pytest.mark.parametrize("field", ["lambda_", "generations", "sims_per_eval"])
+    @pytest.mark.parametrize("value", [2.5, 2.0, True, False, "2"])
+    def test_counts_must_be_integers(self, field, value):
+        # lambda_=2.5 used to construct and then fail with a TypeError
+        # inside evolve; generations=True gave an eval_budget of 120.
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            EvolutionConfig(**{field: value})
 
     @pytest.mark.parametrize(
         "alpha, beta",
@@ -325,3 +366,25 @@ class TestRunSieaSearch:
     def test_rng_required(self):
         with pytest.raises(TypeError):
             run_siea_search(FunctionEnv("f1"), EvolutionConfig(**self.CFG), 10)
+
+    @pytest.mark.parametrize("post_iterations", [0, -1])
+    def test_empty_deployment_rejected_before_evolving(self, post_iterations):
+        # It used to spend all 2,400 evolution draws, then raise from
+        # run_search.
+        env = FunctionEnv("f1")
+        with pytest.raises(ValueError, match="post_iterations must be >= 1"):
+            run_siea_search(env, EvolutionConfig(), post_iterations, random.Random(100))
+        assert env.reward_draws == 0
+
+    def test_compiles_only_the_deployed_formula(self, monkeypatch):
+        # Offspring are scored through closures; only the best-of-run
+        # formula is compiled, by its ExpressionPolicy.
+        sources = []
+
+        def counted_compile(source, *args, **kwargs):
+            sources.append(source)
+            return compile(source, *args, **kwargs)
+
+        monkeypatch.setattr(expr, "compile", counted_compile, raising=False)
+        run_siea_search(FunctionEnv("f1"), EvolutionConfig(**self.CFG), 20, random.Random(101))
+        assert len(sources) == 1
