@@ -8,30 +8,36 @@ averaged across independent runs.  ``peak_mass`` then measures how much
 expansion mass landed near a point of interest, e.g. around a known
 optimum.
 
+Everything works on Python lists and dicts, without numpy.  The bin
+edges and midpoints are numpy's ``linspace`` ones bit for bit, and
+``aggregate`` gives the bits of numpy's ``sum(counts * runs) /
+total_runs``.  A report holds its non-zero bins sparsely, so merging the
+runs of a 2,500-bin configuration costs in proportion to the bins they
+hit, not to the bins.
+
 Exports: CSV (one row per tertile/bin), JSON (whole report), and a
 3-column gnuplot data file (bin midpoint, tertile, mean count, with a
 blank line between tertile blocks so gnuplot sees separate datasets).
 The bytes of all three are a contract: ``tests/test_analysis.py``
 compares them with the per-cell writers the module first shipped, and
-pins the sha256 of every file of a small grid.  The writers read each
-report once through ``tolist()``, so no cell goes through numpy, and
-build each file as one string with the per-value work done in C: CSV
-and gnuplot rows are joined from shared prefixes and ``repr``s, and the
-JSON layout is ``json.dump(indent=2, sort_keys=True)``'s, with every
-list of scalars sent through json's C encoder (which ``json.dump`` only
-uses without ``indent``) by carrying the newline and indent in the item
-separator.
+pins the sha256 of every file of a small grid.  The writers read
+each report's lists once and build each file as one string with the
+per-value work done in C: CSV and gnuplot rows are joined from shared
+prefixes and ``repr``s, and the JSON layout is
+``json.dump(indent=2, sort_keys=True)``'s, with every list of scalars
+sent through json's C encoder (which ``json.dump`` only uses without
+``indent``) by carrying the newline and indent in the item separator.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
-from dataclasses import dataclass
+import math
+from collections import Counter
 from itertools import repeat
-
-import numpy as np
 
 __all__ = [
     "HistogramReport",
@@ -50,23 +56,61 @@ __all__ = [
 TERTILE_COUNT = 3
 
 
-@dataclass
-class HistogramReport:
-    """Per-tertile expansion counts, averaged over ``runs`` runs."""
+@functools.lru_cache(maxsize=4)
+def _edges(bins: int) -> tuple:
+    # np.linspace(0, 1, bins + 1) bit for bit: i times the step, then 1.0.
+    step = 1.0 / bins
+    return (*[i * step for i in range(bins)], 1.0)
 
-    bins: int
-    tertile_counts: np.ndarray
-    runs: int
-    config_id: str
+
+@functools.lru_cache(maxsize=4)
+def _midpoints(bins: int) -> tuple:
+    edges = _edges(bins)
+    return tuple([0.5 * (lo + hi) for lo, hi in zip(edges, edges[1:])])
+
+
+class HistogramReport:
+    """Per-tertile expansion counts, averaged over ``runs`` runs.
+
+    ``tertile_counts`` is three lists of ``bins`` mean counts, one per
+    tertile, as floats.  The report holds its counts sparsely, in
+    ``cells``: one {bin index: mean count} dict per tertile that holds
+    every non-zero bin, so that ``aggregate`` costs in proportion to the
+    bins the runs hit.  A report made by ``from_cells`` builds its lists
+    when they are first read; one made from lists keeps them.
+    """
+
+    def __init__(self, bins: int, tertile_counts, runs: int, config_id: str):
+        self.bins, self.runs, self.config_id = bins, runs, config_id
+        # Sets the cached property below: the lists are given.
+        self.tertile_counts = [list(map(float, counts)) for counts in tertile_counts]
+        self.cells = tuple({i: v for i, v in enumerate(row) if v} for row in self.tertile_counts)
+
+    @classmethod
+    def from_cells(cls, bins: int, cells, runs: int, config_id: str) -> HistogramReport:
+        """A report whose bins outside ``cells`` count 0."""
+        report = cls.__new__(cls)
+        report.bins, report.runs, report.config_id = bins, runs, config_id
+        report.cells = tuple(cells)
+        return report
+
+    @functools.cached_property
+    def tertile_counts(self) -> list:
+        rows = []
+        for cells in self.cells:
+            row = [0.0] * self.bins
+            for i, count in cells.items():
+                row[i] = float(count)
+            rows.append(row)
+        return rows
 
     @property
-    def edges(self) -> np.ndarray:
+    def edges(self) -> list:
         """The ``bins + 1`` equal-width bin edges over [0, 1]."""
-        return np.linspace(0.0, 1.0, self.bins + 1)
+        return list(_edges(self.bins))
 
-    def midpoints(self) -> np.ndarray:
-        edges = self.edges
-        return 0.5 * (edges[:-1] + edges[1:])
+    def midpoints(self) -> list:
+        return list(_midpoints(self.bins))
 
 
 def tertile_split(log: list, total_iterations: int):
@@ -92,31 +136,47 @@ def tertile_split(log: list, total_iterations: int):
     return parts
 
 
-def bin_centres(centres, bins: int) -> np.ndarray:
+def _bin_indices(centres, bins: int) -> list:
+    """The bin of each centre: floor(x * bins), with x = 1.0 in the last."""
+    if bins < 1:
+        raise ValueError("bins must be >= 1")
+    last = bins - 1
+    indices = []
+    for x in centres:
+        # Written so that NaN, which fails every comparison, is rejected too.
+        if not 0.0 <= x <= 1.0:
+            raise ValueError("centres outside [0, 1]")
+        i = int(x * bins)
+        indices.append(i if i < bins else last)
+    return indices
+
+
+def bin_centres(centres, bins: int) -> list:
     """Count centres into ``bins`` equal-width bins over [0, 1].
 
     A centre maps to floor(x * bins); x = 1.0 goes to the last bin.
     """
-    if bins < 1:
-        raise ValueError("bins must be >= 1")
-    arr = np.asarray(list(centres), dtype=float)
-    if arr.size == 0:
-        return np.zeros(bins, dtype=np.int64)
-    if not np.all((arr >= 0.0) & (arr <= 1.0)):
-        raise ValueError("centres outside [0, 1]")
-    idx = np.minimum((arr * bins).astype(np.int64), bins - 1)
-    return np.bincount(idx, minlength=bins)
+    counts = [0] * bins
+    for i in _bin_indices(centres, bins):
+        counts[i] += 1
+    return counts
 
 
 def run_report(log: list, total_iterations: int, bins: int, config_id: str) -> HistogramReport:
     """Histogram report of a single run (runs = 1)."""
-    parts = tertile_split(log, total_iterations)
-    counts = np.stack([bin_centres(p, bins) for p in parts]).astype(float)
-    return HistogramReport(bins=bins, tertile_counts=counts, runs=1, config_id=config_id)
+    cells = [Counter(_bin_indices(part, bins)) for part in tertile_split(log, total_iterations)]
+    return HistogramReport.from_cells(bins, cells, 1, config_id)
 
 
 def aggregate(reports: list) -> HistogramReport:
-    """Run-count-weighted mean of reports with identical bin layout."""
+    """Run-count-weighted mean of reports with identical bin layout.
+
+    Bit for bit numpy's ``sum(r.tertile_counts * r.runs for r in
+    reports) / total_runs``: each bin sums in report order, starting
+    from 0, and a zero term would leave its sum unchanged, so only each
+    report's cells are added.  A run's counts are integers, and so are
+    their sums, which are then exact.
+    """
     if not reports:
         raise ValueError("no reports to aggregate")
     head = reports[0]
@@ -124,13 +184,15 @@ def aggregate(reports: list) -> HistogramReport:
         if r.bins != head.bins or r.config_id != head.config_id:
             raise ValueError("reports have mismatched bin configuration")
     total_runs = sum(r.runs for r in reports)
-    summed = sum(r.tertile_counts * r.runs for r in reports)
-    return HistogramReport(
-        bins=head.bins,
-        tertile_counts=summed / total_runs,
-        runs=total_runs,
-        config_id=head.config_id,
-    )
+    sums: tuple = tuple({} for _ in range(TERTILE_COUNT))
+    for r in reports:
+        runs = r.runs
+        for acc, cells in zip(sums, r.cells):
+            get = acc.get
+            for i, count in cells.items():
+                acc[i] = get(i, 0) + count * runs
+    means = [{i: total / total_runs for i, total in acc.items()} for acc in sums]
+    return HistogramReport.from_cells(head.bins, means, total_runs, head.config_id)
 
 
 def peak_mass(
@@ -143,13 +205,15 @@ def peak_mass(
 
     ``tertile`` selects one tertile (0, 1 or 2); None sums all three.
     """
-    mids = report.midpoints()
-    mask = (mids >= centre - radius) & (mids <= centre + radius)
     if tertile is None:
-        return float(report.tertile_counts[:, mask].sum())
-    if not 0 <= tertile < TERTILE_COUNT:
+        rows = report.tertile_counts
+    elif 0 <= tertile < TERTILE_COUNT:
+        rows = [report.tertile_counts[tertile]]
+    else:
         raise ValueError("tertile must be 0, 1 or 2")
-    return float(report.tertile_counts[tertile, mask].sum())
+    lo, hi = centre - radius, centre + radius
+    window = [i for i, mid in enumerate(report.midpoints()) if lo <= mid <= hi]
+    return math.fsum(row[i] for row in rows for i in window)
 
 
 def count_peaks(counts, rel_height: float = 0.1, min_separation: int = 5) -> list:
@@ -160,21 +224,23 @@ def count_peaks(counts, rel_height: float = 0.1, min_separation: int = 5) -> lis
     equal bins within a neighbourhood count once (leftmost).  Returns
     indices in increasing order.
     """
-    arr = np.asarray(counts, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError("counts must be a non-empty 1-D array")
+    try:
+        arr = [float(v) for v in counts]
+    except TypeError:
+        raise ValueError("counts must be a non-empty sequence of numbers") from None
+    if not arr:
+        raise ValueError("counts must be a non-empty sequence of numbers")
     if min_separation < 1:
         raise ValueError("min_separation must be >= 1")
-    floor = rel_height * float(arr.max())
+    floor = rel_height * max(arr)
     peaks: list = []
-    n = arr.size
-    for i in range(n):
-        v = arr[i]
+    n = len(arr)
+    for i, v in enumerate(arr):
         if v <= floor or v <= 0.0:
             continue
         lo = max(0, i - min_separation)
         hi = min(n, i + min_separation + 1)
-        if v < arr[lo:hi].max():
+        if v < max(arr[lo:hi]):
             continue
         if peaks and i - peaks[-1] < min_separation:
             continue
@@ -182,13 +248,14 @@ def count_peaks(counts, rel_height: float = 0.1, min_separation: int = 5) -> lis
     return peaks
 
 
-def visit_weighted_counts(root, env, bins: int) -> np.ndarray:
+def visit_weighted_counts(root, env, bins: int) -> list:
     """Alternative view: bin every tree node's centre weighted by visits.
 
     No tertile structure (visits accumulate over the whole run); offered
-    for exploration alongside the expansion-count histograms.
+    for exploration alongside the expansion-count histograms.  The
+    counts are integers, so sums of them are exact.
     """
-    counts = np.zeros(bins, dtype=float)
+    counts = [0] * bins
     stack = [root]
     while stack:
         node = stack.pop()
@@ -214,11 +281,6 @@ _CSV_FIELDS = (
 _CSV_HEADER = ",".join(_CSV_FIELDS) + "\r\n"
 
 
-def _count_rows(report: HistogramReport) -> list:
-    # Python floats, one list per tertile, so no cell is read through numpy.
-    return np.asarray(report.tertile_counts, dtype=float).tolist()
-
-
 def write_csv(report: HistogramReport, path, meta: dict) -> None:
     """One row per (tertile, bin); ``meta`` supplies the run columns
     (function, policy, c_or_evolved, run_seed), which are quoted once
@@ -229,11 +291,11 @@ def write_csv(report: HistogramReport, path, meta: dict) -> None:
         [report.config_id, meta["function"], meta["policy"], meta["c_or_evolved"], meta["run_seed"]]
     )
     head = line.getvalue()[: -len("\r\n")]
-    edges = list(map(repr, report.edges.tolist()))
+    edges = list(map(repr, _edges(report.bins)))
     spans = [f",{i},{lo},{hi}," for i, (lo, hi) in enumerate(zip(edges, edges[1:]))]
     text = "".join(
         "".join(map("".join, zip(repeat(f"{head},{t}"), spans, map(repr, counts), repeat("\r\n"))))
-        for t, counts in enumerate(_count_rows(report))
+        for t, counts in enumerate(report.tertile_counts)
     )
     with open(path, "w", newline="") as fh:
         fh.write(_CSV_HEADER + text)
@@ -275,8 +337,8 @@ def write_json(report: HistogramReport, path, meta: dict) -> None:
         "config_id": report.config_id,
         "bins": report.bins,
         "runs": report.runs,
-        "edges": report.edges.tolist(),
-        "tertile_counts": _count_rows(report),
+        "edges": report.edges,
+        "tertile_counts": report.tertile_counts,
         **meta,
     }
     text = _json_layout(payload, "")
@@ -286,10 +348,10 @@ def write_json(report: HistogramReport, path, meta: dict) -> None:
 
 def write_plotdata(report: HistogramReport, path) -> None:
     """3 columns (bin_mid, tertile, mean_count), blank line per tertile."""
-    prefixes = [f"{mid!r} " for mid in report.midpoints().tolist()]
+    prefixes = [f"{mid!r} " for mid in _midpoints(report.bins)]
     blocks = [
         "".join(map("".join, zip(prefixes, repeat(f"{t} "), map(repr, counts), repeat("\n"))))
-        for t, counts in enumerate(_count_rows(report))
+        for t, counts in enumerate(report.tertile_counts)
     ]
     with open(path, "w") as fh:
         fh.write("# bin_mid tertile mean_count\n" + "\n".join(blocks))

@@ -9,21 +9,19 @@ oscillation near 0, f4 and f5 are deceptive: periodic bumps riding on a
 slope, with the global optimum at x = 0.1 on the *low* side of the
 slope (f5's bumps are much narrower than f4's).
 
-Each function has two forms.  The scalar form, written with plain
-``math`` calls, serves ``eval_function`` on a float and every reward
-draw of the search (``FunctionEnv.probability``); it is about ten times
-cheaper per call than numpy on a 0-d array.  The array form serves
-``eval_raw`` and ``eval_function`` on anything else.  On all 2^17
-depth-17 leaf centres the scalar form reproduces numpy's scalar results
-bit for bit; f3 computes x^5 with ``np.power`` because Python's ``x**5``
-(libm ``pow``) differs from it in the last bit on 7,001 of those leaves.
-numpy's array path itself differs from its scalar path in the last bit
-on 1,807 f4 leaves and 399 f5 leaves, so a search result must never be
-derived from the array form.
+Each function is written with plain ``math`` calls and takes one float;
+``eval_function`` and every reward draw of the search
+(``FunctionEnv.probability``) go through these forms, and the runtime
+needs no numpy.  f1, f2, f4 and f5 reproduce numpy's scalar results bit
+for bit on all 2^17 depth-17 leaf centres.  f3 computes x^5 exactly
+rounded, as ``n**5 / d**5`` from ``x.as_integer_ratio()``: CPython rounds
+int/int true division correctly, so the value is the same on any IEEE
+machine, where libm ``pow`` and numpy's SIMD ``power`` kernels each
+round some leaves differently.  The numpy array forms of the five
+functions are a test oracle in ``tests/conftest.py``.
 
 Outputs are defensively clamped to [0, 1]; the clamp is a no-op
-everywhere except for float noise at the boundaries (see ``eval_raw``
-for the unclamped values).
+everywhere except for float noise at the boundaries.
 """
 
 from __future__ import annotations
@@ -32,13 +30,10 @@ import math
 import random
 from typing import NamedTuple
 
-import numpy as np
-
 __all__ = [
     "IntervalState",
     "FUNCTION_IDS",
     "eval_function",
-    "eval_raw",
     "FunctionEnv",
     "DEFAULT_THRESHOLD",
     "DEFAULT_BRANCHING",
@@ -57,35 +52,6 @@ class IntervalState(NamedTuple):
     b: float
 
 
-def _f1(x):
-    return np.sin(np.pi * x)
-
-
-def _f2(x):
-    return 0.5 * np.sin(13.0 * x) * np.sin(27.0 * x) + 0.5
-
-
-def _f3(x):
-    # 0.5 + 0.5|sin(1/x^5)| left of 0.5, dropping to 0.35 + 0.5|sin(1/x^5)|
-    # from 0.5 on; the oscillation is defined as 0 at x = 0 itself.
-    x = np.asarray(x, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        osc = 0.5 * np.abs(np.sin(1.0 / x**5))
-    base = np.where(x < 0.5, 0.5, 0.35)
-    return base + np.where(x == 0.0, 0.0, osc)
-
-
-def _f4(x):
-    return 0.5 * x + (-0.7 * x + 1.0) * np.sin(5.0 * np.pi * x) ** 4
-
-
-def _f5(x):
-    return 0.5 * x + (-0.7 * x + 1.0) * np.sin(5.0 * np.pi * x) ** 80
-
-
-_RAW = {"f1": _f1, "f2": _f2, "f3": _f3, "f4": _f4, "f5": _f5}
-
-
 def _f1_scalar(x: float) -> float:
     return math.sin(math.pi * x)
 
@@ -98,11 +64,12 @@ def _f3_scalar(x: float) -> float:
     base = 0.5 if x < 0.5 else 0.35
     if x == 0.0:
         return base
-    # np.power, not x**5: see the module docstring.
-    x5 = float(np.power(x, 5.0))
+    # Exactly rounded x^5: see the module docstring.
+    n, d = x.as_integer_ratio()
+    x5 = n**5 / d**5
     inv = 1.0 / x5 if x5 else math.inf
     if inv == math.inf:
-        return math.nan  # sin(inf), as numpy computes it for x^5 underflowing
+        return math.nan  # sin(inf): x^5 underflows to 0 below about 1e-65
     return base + 0.5 * abs(math.sin(inv))
 
 
@@ -117,34 +84,18 @@ def _f5_scalar(x: float) -> float:
 _SCALAR = {"f1": _f1_scalar, "f2": _f2_scalar, "f3": _f3_scalar, "f4": _f4_scalar, "f5": _f5_scalar}
 
 
-def eval_raw(function_id: str, x):
-    """Unclamped function value(s); x must lie in [0, 1]."""
-    fn = _RAW.get(function_id)
+def eval_function(function_id: str, x: float) -> float:
+    """Function value at one real ``x`` in [0, 1], clamped into [0, 1]."""
+    fn = _SCALAR.get(function_id)
     if fn is None:
         raise ValueError(f"unknown function {function_id!r}")
-    arr = np.asarray(x, dtype=float)
+    if not isinstance(x, (int, float)):
+        raise TypeError(f"x must be a real number, got {type(x).__name__}")
+    x = float(x)
     # Written so that NaN, which fails every comparison, is rejected too.
-    if not np.all((arr >= 0.0) & (arr <= 1.0)):
+    if not 0.0 <= x <= 1.0:
         raise ValueError("x outside [0, 1]")
-    return fn(arr)
-
-
-def eval_function(function_id: str, x):
-    """Function value(s) clamped into [0, 1]; scalar in, scalar out.
-
-    A float goes through the scalar form, anything else through numpy.
-    """
-    if isinstance(x, float):
-        fn = _SCALAR.get(function_id)
-        if fn is None:
-            raise ValueError(f"unknown function {function_id!r}")
-        if not 0.0 <= x <= 1.0:
-            raise ValueError("x outside [0, 1]")
-        return min(max(float(fn(x)), 0.0), 1.0)
-    y = np.clip(eval_raw(function_id, x), 0.0, 1.0)
-    if np.ndim(y) == 0:
-        return float(y)
-    return y
+    return min(max(fn(x), 0.0), 1.0)
 
 
 class FunctionEnv:

@@ -27,11 +27,8 @@ import random
 import sys
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-
-import numpy as np
 
 from .analysis import (
     aggregate,
@@ -196,7 +193,7 @@ def _execute_run(task: tuple) -> tuple:
     )
     if visit_bins is None:
         return records, None
-    return records, visit_weighted_counts(root, env, visit_bins).tolist()
+    return records, visit_weighted_counts(root, env, visit_bins)
 
 
 @contextlib.contextmanager
@@ -206,11 +203,14 @@ def _pool(workers: int):
     The pool forks every worker up front, so the caller sizes it by the
     work.  When the caller raises, the runs still queued are cancelled:
     the pool's exit would otherwise wait for them, and then their results
-    would be thrown away.
+    would be thrown away.  The pool machinery is imported here, so a
+    one-worker grid never loads it.
     """
     if workers <= 1:
         yield None
         return
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         try:
             yield pool
@@ -291,7 +291,10 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
             write_csv(report, out_dir / f"{cid}.csv", meta)
             json_meta = {**meta, "iterations": cfg.iterations, "log_span": span}
             if visit_rows:
-                json_meta["visit_weighted_mean"] = np.mean(visit_rows, axis=0).tolist()
+                # Exact integer sums, divided once.
+                json_meta["visit_weighted_mean"] = [
+                    total / len(visit_rows) for total in map(sum, zip(*visit_rows))
+                ]
             write_json(report, out_dir / f"{cid}.json", json_meta)
             write_plotdata(report, out_dir / f"{cid}.dat")
     print(

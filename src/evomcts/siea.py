@@ -228,9 +228,12 @@ def run_siea_search(env, config: EvolutionConfig, post_iterations: int, rng: ran
     the per-generation history.  Total reward draws are exactly
     ``config.eval_budget + post_iterations``.  The best-of-run formula
     is the one formula the run compiles, as its ``ExpressionPolicy``.
-    Raises ValueError for ``post_iterations < 1`` before evolving.
+    Raises ValueError for a ``post_iterations`` that is not an integer
+    >= 1 before evolving.
     """
     # Checked here, before evolution spends its draws, not in run_search.
+    if not isinstance(post_iterations, int) or isinstance(post_iterations, bool):
+        raise ValueError(f"post_iterations must be an integer, got {post_iterations!r}")
     if post_iterations < 1:
         raise ValueError("post_iterations must be >= 1")
     best, history = evolve(env, config, rng)

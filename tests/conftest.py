@@ -2,14 +2,16 @@
 
 Everything here is written independently of the library internals: the
 scalar benchmark oracles re-derive each function with plain ``math``
-calls, and ``closed_form_uct`` is the selection score written out
-directly.  Tests compare these second routes against the library so a
+calls, the array oracles evaluate it over numpy arrays (numpy is a test
+dependency only), and ``closed_form_uct`` is the selection score
+written out directly.  Tests compare these second routes against the library so a
 bug would have to appear twice, identically, to slip through.
 """
 
 import math
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
@@ -91,7 +93,7 @@ def assert_descent_picks(descend, root, ties):
 
 
 # ----------------------------------------------------------------------
-# Scalar benchmark oracles (independent of the numpy implementations)
+# Scalar benchmark oracles (independent of the library and of numpy)
 # ----------------------------------------------------------------------
 
 
@@ -127,6 +129,65 @@ SCALAR_ORACLES = {
     "f4": oracle_f4,
     "f5": oracle_f5,
 }
+
+
+# ----------------------------------------------------------------------
+# numpy array oracles: the five functions over arrays of points
+# ----------------------------------------------------------------------
+# numpy's array path differs from the library's scalar forms in the last
+# bit on some points (1,807 f4 and 399 f5 depth-17 leaves), so a search
+# result must never be derived from these.
+
+
+def _array_f1(x):
+    return np.sin(np.pi * x)
+
+
+def _array_f2(x):
+    return 0.5 * np.sin(13.0 * x) * np.sin(27.0 * x) + 0.5
+
+
+def _array_f3(x):
+    # 0.5 + 0.5|sin(1/x^5)| left of 0.5, dropping to 0.35 + 0.5|sin(1/x^5)|
+    # from 0.5 on; the oscillation is defined as 0 at x = 0 itself.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        osc = 0.5 * np.abs(np.sin(1.0 / x**5))
+    base = np.where(x < 0.5, 0.5, 0.35)
+    return base + np.where(x == 0.0, 0.0, osc)
+
+
+def _array_f4(x):
+    return 0.5 * x + (-0.7 * x + 1.0) * np.sin(5.0 * np.pi * x) ** 4
+
+
+def _array_f5(x):
+    return 0.5 * x + (-0.7 * x + 1.0) * np.sin(5.0 * np.pi * x) ** 80
+
+
+ARRAY_ORACLES = {
+    "f1": _array_f1,
+    "f2": _array_f2,
+    "f3": _array_f3,
+    "f4": _array_f4,
+    "f5": _array_f5,
+}
+
+
+def eval_raw(function_id, x):
+    """Unclamped values of a function over an array of points in [0, 1]."""
+    fn = ARRAY_ORACLES.get(function_id)
+    if fn is None:
+        raise ValueError(f"unknown function {function_id!r}")
+    arr = np.asarray(x, dtype=float)
+    # Written so that NaN, which fails every comparison, is rejected too.
+    if not np.all((arr >= 0.0) & (arr <= 1.0)):
+        raise ValueError("x outside [0, 1]")
+    return fn(arr)
+
+
+def eval_clipped(function_id, x):
+    """``eval_raw`` clamped into [0, 1], as the library clamps."""
+    return np.clip(eval_raw(function_id, x), 0.0, 1.0)
 
 
 # ----------------------------------------------------------------------

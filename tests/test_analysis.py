@@ -74,7 +74,7 @@ class TestBinCentres:
     def test_single_centre(self):
         counts = bin_centres([0.5], 100)
         assert counts[50] == 1
-        assert counts.sum() == 1
+        assert sum(counts) == 1
 
     def test_edge_values(self):
         counts = bin_centres([0.0, 1.0], 100)
@@ -84,14 +84,14 @@ class TestBinCentres:
         ks = np.arange(2**17)
         centres = (2 * ks + 1) / 2.0**18
         counts = bin_centres(centres, 100)
-        assert counts.sum() == 2**17
-        assert np.all(np.abs(counts - 2**17 / 100) <= 1.0)
+        assert sum(counts) == 2**17
+        assert np.all(np.abs(np.asarray(counts) - 2**17 / 100) <= 1.0)
 
     def test_empty_input(self):
-        assert bin_centres([], 10).tolist() == [0] * 10
+        assert bin_centres([], 10) == [0] * 10
 
     def test_single_bin(self):
-        assert bin_centres([0.0, 0.3, 1.0], 1).tolist() == [3]
+        assert bin_centres([0.0, 0.3, 1.0], 1) == [3]
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
@@ -109,10 +109,10 @@ class TestRunReportAndAggregate:
         log = [(i, (i % 100) / 100 + 0.005) for i in range(600)]
         report = run_report(log, 600, 100, "cfg")
         assert report.runs == 1
-        assert report.tertile_counts.shape == (3, 100)
+        assert np.asarray(report.tertile_counts).shape == (3, 100)
         parts = tertile_split(log, 600)
         for t in range(3):
-            assert report.tertile_counts[t].sum() == len(parts[t])
+            assert sum(report.tertile_counts[t]) == len(parts[t])
         assert report.edges[0] == 0.0 and report.edges[-1] == 1.0
         assert np.all(np.diff(report.edges) > 0)
 
@@ -121,7 +121,7 @@ class TestRunReportAndAggregate:
         r2 = run_report([(0, 0.105)] * 6, 30, 10, "cfg")
         merged = aggregate([r1, r2])
         assert merged.runs == 2
-        assert merged.tertile_counts[0, 1] == 5.0
+        assert merged.tertile_counts[0][1] == 5.0
 
     def test_edges_after_aggregate(self):
         reports = [run_report([(i, 0.3)], 30, 7, "cfg") for i in range(3)]
@@ -157,7 +157,7 @@ class TestRunReportAndAggregate:
         reports = [run_report(lg, 30, 10, "cfg") for lg in logs]
         merged = aggregate(reports)
         total = sum(len(lg) for lg in logs)
-        assert merged.tertile_counts.sum() * merged.runs == pytest.approx(total)
+        assert np.sum(merged.tertile_counts) * merged.runs == pytest.approx(total)
 
     def test_mismatched_layout_rejected(self):
         r1 = run_report([(0, 0.5)], 30, 10, "cfg")
@@ -169,6 +169,68 @@ class TestRunReportAndAggregate:
             aggregate([r1, r3])
         with pytest.raises(ValueError):
             aggregate([])
+
+
+def _numpy_aggregate(reports):
+    """The numpy formula ``aggregate`` reproduces bit for bit."""
+    total_runs = sum(r.runs for r in reports)
+    return sum(np.asarray(r.tertile_counts, dtype=float) * r.runs for r in reports) / total_runs
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+@st.composite
+def _leaf_reports(draw, bins):
+    """A run report from a log, or a mean report built from lists or
+    from its non-zero cells."""
+    runs = draw(st.integers(1, 30))
+    if draw(st.booleans()):
+        iterations = draw(st.integers(1, 60))
+        centres = st.sampled_from([0.0, 1.0, 0.5]) | st.floats(0.0, 1.0)
+        log = draw(st.lists(st.tuples(st.integers(0, iterations - 1), centres), max_size=60))
+        return run_report(log, iterations, bins, "cfg")
+    cells = st.integers(0, 40) | st.sampled_from([0.0, 0.1, 1 / 3, 2.5e-300])
+    rows = [[draw(cells) / runs for _ in range(bins)] for _ in range(3)]
+    if draw(st.booleans()):
+        cells = [{i: v for i, v in enumerate(row) if v} for row in rows]
+        return HistogramReport.from_cells(bins, cells, runs, "cfg")
+    return HistogramReport(bins, rows, runs, "cfg")
+
+
+class TestListHistograms:
+    def test_edges_and_midpoints_are_numpys(self):
+        for bins in range(1, 5001):
+            report = HistogramReport(bins, [], 1, "cfg")
+            edges = np.linspace(0.0, 1.0, bins + 1)
+            assert np.array_equal(_bits(report.edges), edges.view(np.uint64)), bins
+            mids = 0.5 * (edges[:-1] + edges[1:])
+            assert np.array_equal(_bits(report.midpoints()), mids.view(np.uint64)), bins
+
+    def test_reports_hold_lists_of_floats(self):
+        reports = [run_report([(0, 0.3), (5, 0.3), (29, 0.9)], 30, 10, "cfg")] * 2
+        for report in (reports[0], aggregate(reports)):
+            assert type(report.tertile_counts) is list
+            for row in report.tertile_counts:
+                assert type(row) is list and len(row) == 10
+                assert {type(v) for v in row} == {float}
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), bins=st.integers(1, 40))
+    def test_aggregate_is_numpys_weighted_mean(self, data, bins):
+        # Nested as the CLI never nests them, with non-integer means and
+        # runs > 1: each level equals numpy's sum(counts * runs) / total.
+        leaves = data.draw(st.lists(_leaf_reports(bins), min_size=1, max_size=6))
+        group = st.lists(st.sampled_from(leaves), min_size=1, max_size=4)
+        groups = data.draw(st.lists(group, max_size=3))
+        inner = [aggregate(g) for g in groups]
+        for g, merged in zip(groups, inner):
+            assert np.array_equal(_bits(merged.tertile_counts), _numpy_aggregate(g).view(np.uint64))
+        outer = data.draw(st.permutations(inner + leaves))
+        merged = aggregate(outer)
+        assert merged.runs == sum(r.runs for r in outer)
+        assert np.array_equal(_bits(merged.tertile_counts), _numpy_aggregate(outer).view(np.uint64))
 
 
 class TestPeakMass:
@@ -248,7 +310,7 @@ class TestVisitWeighted:
         child.visits = 6
         root.children.append(child)
         counts = visit_weighted_counts(root, env, 2)
-        assert counts.tolist() == [6.0, 10.0]
+        assert counts == [6.0, 10.0]
 
 
 class TestExports:
@@ -359,7 +421,7 @@ def _reference_write_csv(report, path, meta):
                         i,
                         repr(float(edges[i])),
                         repr(float(edges[i + 1])),
-                        repr(float(report.tertile_counts[t, i])),
+                        repr(float(report.tertile_counts[t][i])),
                     ]
                 )
 
@@ -383,7 +445,7 @@ def _reference_write_plotdata(report, path):
     blocks = []
     for t in range(3):
         rows = [
-            f"{float(mids[i])!r} {t} {float(report.tertile_counts[t, i])!r}"
+            f"{float(mids[i])!r} {t} {float(report.tertile_counts[t][i])!r}"
             for i in range(report.bins)
         ]
         blocks.append("\n".join(rows))

@@ -1,7 +1,7 @@
 """Benchmark-function and bisection-environment tests.
 
-The five functions are checked against scalar re-derivations in
-``conftest`` (a second, numpy-free route to each value) on top of the
+The five functions are checked against scalar re-derivations and numpy
+array forms in ``conftest`` (second routes to each value) on top of the
 frozen spot values, and the interval mechanics are checked down to the
 exact dyadic grid of terminal centres."""
 
@@ -9,18 +9,18 @@ import hashlib
 import math
 import random
 import struct
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from conftest import SCALAR_ORACLES
+from conftest import SCALAR_ORACLES, eval_clipped, eval_raw
 from evomcts.bench import (
     DEFAULT_THRESHOLD,
     FUNCTION_IDS,
     FunctionEnv,
     IntervalState,
     eval_function,
-    eval_raw,
 )
 
 
@@ -56,30 +56,40 @@ class TestFunctionValues:
             assert eval_function("f3", x) == pytest.approx(want, abs=1e-9), x
 
     def test_f3_branch_ranges(self):
+        # The raw array oracle, and the library's clamped scalar form,
+        # which leaves these ranges alone.
         xs = np.linspace(0.0, 1.0, 200_001)
-        ys = eval_raw("f3", xs)
-        left = ys[xs < 0.5]
-        right = ys[xs >= 0.5]
-        assert np.all((left >= 0.5) & (left <= 1.0))
-        assert np.all((right >= 0.35) & (right <= 0.85))
+        for ys in (eval_raw("f3", xs), np.array([eval_function("f3", x) for x in xs.tolist()])):
+            left = ys[xs < 0.5]
+            right = ys[xs >= 0.5]
+            assert np.all((left >= 0.5) & (left <= 1.0))
+            assert np.all((right >= 0.35) & (right <= 0.85))
 
     def test_scalar_in_scalar_out(self):
         y = eval_function("f1", 0.25)
         assert isinstance(y, float)
+        assert eval_function("f1", 0) == eval_function("f1", 0.0)
+
+    def test_one_real_number_only(self):
+        # The array forms are test oracles now; the library takes one x.
+        with pytest.raises(TypeError, match="real number"):
+            eval_function("f1", np.linspace(0.0, 1.0, 3))
+        with pytest.raises(TypeError, match="real number"):
+            eval_function("f1", "0.5")
 
     def test_vectorised_matches_scalar(self):
         xs = np.linspace(0.0, 1.0, 1001)
         for fid in FUNCTION_IDS:
-            ys = eval_function(fid, xs)
+            ys = eval_clipped(fid, xs)
             assert ys.shape == xs.shape
             for i in (0, 123, 500, 1000):
                 assert ys[i] == eval_function(fid, float(xs[i]))
 
     def test_range_containment_on_grid(self):
-        xs = np.linspace(0.0, 1.0, 100_001)
+        xs = np.linspace(0.0, 1.0, 100_001).tolist()
         for fid in FUNCTION_IDS:
-            ys = eval_function(fid, xs)
-            assert np.all(ys >= 0.0) and np.all(ys <= 1.0), fid
+            ys = [eval_function(fid, x) for x in xs]
+            assert all(0.0 <= y <= 1.0 for y in ys), fid
 
     def test_no_clamping_needed_for_smooth_functions(self):
         xs = np.linspace(0.0, 1.0, 100_001)
@@ -115,16 +125,33 @@ class TestFunctionValues:
         with pytest.raises(ValueError, match="outside"):
             eval_raw("f1", np.array([0.5, math.nan]))
         with pytest.raises(ValueError, match="outside"):
-            eval_function("f4", np.array([math.nan]))
+            eval_clipped("f4", np.array([math.nan]))
+
+
+def _exact_f3(x):
+    """f3 with x^5 rounded once from the exact rational power: no libm,
+    no SIMD kernel."""
+    osc = 0.5 * abs(math.sin(1.0 / float(Fraction(x) ** 5)))
+    return (0.5 if x < 0.5 else 0.35) + osc
+
+
+def test_f3_fifth_power_is_exactly_rounded_on_every_leaf():
+    # The leaf centres (2i + 1) / 2^18.  numpy's power and libm's pow each
+    # round thousands of them differently, and differently from each other.
+    n = 1 << 18
+    for i in range(1, n, 2):
+        x = i / n
+        assert eval_function("f3", x) == _exact_f3(x), x
 
 
 # sha256 over struct.pack("<d", p) of the reward probability at each of
-# the 2^17 depth-17 leaves, left to right, computed through numpy's scalar
-# path before the search switched to the plain-math forms.
+# the 2^17 depth-17 leaves, left to right.  f1, f2, f4 and f5 were
+# computed through numpy's scalar path before the search switched to the
+# plain-math forms; f3 with its exactly rounded x^5.
 LEAF_TABLE_SHA256 = {
     "f1": "5584e868fd169bb48f95822fe7fb2227a402c1fe0f6f3e047c6198b315c2faa9",
     "f2": "485951cac4a10c9cef62c6cd364510e32e5e269631a3a8f000f9bff214a621d0",
-    "f3": "5b786d377c11a2f9776df647ce03237031740f3e7497cb3ab34dd7db74b5b26b",
+    "f3": "102e07bb28812b5ecbfdc9b85bc8cfa56ea72bd1e025fa32458e8966d0e1f6e0",
     "f4": "601111a5f48ac13f868aabc9cca1a4f6e65823efac1384bab8e20e1b231bc862",
     "f5": "2c021cc6c01abc7e5703067f9ae59c446e3bf3709705b92a5faf2e12d36d3b6f",
 }

@@ -1,11 +1,14 @@
 """Experiment-runner tests: seed derivation, agent parsing, config
 validation, output files, and cross-run/worker determinism."""
 
+import concurrent.futures
 import dataclasses
 import json
 import math
 import random
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -176,7 +179,7 @@ class TestRunExperiment:
         assert lines[2]["reward_draws"] == 300
         assert lines[2]["root_visits"] == 300
         # Every iteration expands this early, so counts conserve fully.
-        assert reports[cid].tertile_counts.sum() == pytest.approx(300.0)
+        assert np.sum(reports[cid].tertile_counts) == pytest.approx(300.0)
 
     def test_rerun_is_byte_identical(self, tmp_path):
         dirs = [tmp_path / "a", tmp_path / "b"]
@@ -222,7 +225,7 @@ class TestRunExperiment:
         evolved = lines[3]
         assert evolved["expr"].startswith("(") or evolved["expr"] in ("Q", "Np", "Nc")
         assert lines[-1]["reward_draws"] == 50
-        assert reports["f1_siea"].tertile_counts.sum() <= 38
+        assert np.sum(reports["f1_siea"].tertile_counts) <= 38
 
     def test_worker_count_does_not_change_results(self, tmp_path):
         dirs = [tmp_path / "serial", tmp_path / "pool"]
@@ -304,7 +307,7 @@ class TestRunExperiment:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         run_experiment(_uct_cfg(tmp_path, runs=runs, iterations=20, workers=workers))
         assert pools == started
         assert len(list((tmp_path / "logs").iterdir())) == runs
@@ -334,7 +337,7 @@ class TestRunExperiment:
         def failing_write_csv(*args):
             raise OSError("disk full")
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(cli, "write_csv", failing_write_csv)
         with pytest.raises(OSError, match="disk full"):
             run_experiment(_uct_cfg(tmp_path, runs=3, iterations=20, workers=2))
@@ -691,3 +694,34 @@ def test_readme_flag_table_matches_the_parser():
     }
     parsed = {s for a in _build_parser()._actions for s in a.option_strings}
     assert documented == parsed - {"-h", "--help"}
+
+
+_HEAVY_MODULES = ("numpy", "multiprocessing", "concurrent.futures.process")
+
+_ONE_WORKER_GRID = """
+import sys
+from evomcts.cli import main
+argv = ["--functions", "f1,f3", "--agents", "uct:0.5,siea", "--runs", "2"]
+argv += ["--iterations", "40", "--bins", "25", "--visit-weighted", "--workers", "1"]
+argv += ["--ea-generations", "1", "--ea-lambda", "2", "--ea-sims", "3", "--out", sys.argv[1]]
+assert main(argv) == 0
+print(",".join(name for name in {heavy!r} if name in sys.modules))
+"""
+
+
+def test_one_worker_grid_loads_neither_numpy_nor_the_pool(tmp_path):
+    # The runtime has no numpy, and the process pool is imported only when
+    # it starts, so a fresh process that runs a --workers 1 grid loads none
+    # of these modules.
+    src = Path(cli.__file__).resolve().parents[1]
+    script = _ONE_WORKER_GRID.format(heavy=_HEAVY_MODULES)
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "out")],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={"PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == ""
+    assert len(list((tmp_path / "out").glob("*.json"))) == 4

@@ -376,6 +376,15 @@ class TestRunSieaSearch:
             run_siea_search(env, EvolutionConfig(), post_iterations, random.Random(100))
         assert env.reward_draws == 0
 
+    @pytest.mark.parametrize("post_iterations", [2.5, 20.0, True])
+    def test_non_integer_deployment_rejected_before_evolving(self, post_iterations):
+        # 2.5 passed the < 1 check, spent the evolution draws, and then
+        # range() raised a TypeError; True would have run one iteration.
+        env = FunctionEnv("f1")
+        with pytest.raises(ValueError, match="post_iterations must be an integer"):
+            run_siea_search(env, EvolutionConfig(**self.CFG), post_iterations, random.Random(100))
+        assert env.reward_draws == 0
+
     def test_compiles_only_the_deployed_formula(self, monkeypatch):
         # Offspring are scored through closures; only the best-of-run
         # formula is compiled, by its ExpressionPolicy.
