@@ -72,27 +72,16 @@ def _midpoints(bins: int) -> tuple:
 class HistogramReport:
     """Per-tertile expansion counts, averaged over ``runs`` runs.
 
-    ``tertile_counts`` is three lists of ``bins`` mean counts, one per
-    tertile, as floats.  The report holds its counts sparsely, in
-    ``cells``: one {bin index: mean count} dict per tertile that holds
-    every non-zero bin, so that ``aggregate`` costs in proportion to the
-    bins the runs hit.  A report made by ``from_cells`` builds its lists
-    when they are first read; one made from lists keeps them.
+    ``cells`` holds the counts sparsely: one {bin index: mean count}
+    dict per tertile, holding every non-zero bin, so that ``aggregate``
+    costs in proportion to the bins the runs hit; bins outside ``cells``
+    count 0.  ``tertile_counts``, three lists of ``bins`` mean counts as
+    floats, is built from them when it is first read.
     """
 
-    def __init__(self, bins: int, tertile_counts, runs: int, config_id: str):
+    def __init__(self, bins: int, cells, runs: int, config_id: str):
         self.bins, self.runs, self.config_id = bins, runs, config_id
-        # Sets the cached property below: the lists are given.
-        self.tertile_counts = [list(map(float, counts)) for counts in tertile_counts]
-        self.cells = tuple({i: v for i, v in enumerate(row) if v} for row in self.tertile_counts)
-
-    @classmethod
-    def from_cells(cls, bins: int, cells, runs: int, config_id: str) -> HistogramReport:
-        """A report whose bins outside ``cells`` count 0."""
-        report = cls.__new__(cls)
-        report.bins, report.runs, report.config_id = bins, runs, config_id
-        report.cells = tuple(cells)
-        return report
+        self.cells = tuple(cells)
 
     @functools.cached_property
     def tertile_counts(self) -> list:
@@ -165,7 +154,7 @@ def bin_centres(centres, bins: int) -> list:
 def run_report(log: list, total_iterations: int, bins: int, config_id: str) -> HistogramReport:
     """Histogram report of a single run (runs = 1)."""
     cells = [Counter(_bin_indices(part, bins)) for part in tertile_split(log, total_iterations)]
-    return HistogramReport.from_cells(bins, cells, 1, config_id)
+    return HistogramReport(bins, cells, 1, config_id)
 
 
 def aggregate(reports: list) -> HistogramReport:
@@ -192,7 +181,7 @@ def aggregate(reports: list) -> HistogramReport:
             for i, count in cells.items():
                 acc[i] = get(i, 0) + count * runs
     means = [{i: total / total_runs for i, total in acc.items()} for acc in sums]
-    return HistogramReport.from_cells(head.bins, means, total_runs, head.config_id)
+    return HistogramReport(head.bins, means, total_runs, head.config_id)
 
 
 def peak_mass(

@@ -104,8 +104,8 @@ class FunctionEnv:
     Implements the search-engine contract: initial_state, actions,
     apply, is_terminal, playout, sample_reward, centre.  ``function`` is
     one of the ids in FUNCTION_IDS or any callable mapping [0, 1] ->
-    [0, 1].  With ``bernoulli=False`` (test stub) the reward is f(centre)
-    itself rather than a coin flip, and no randomness is consumed.
+    [0, 1].  A terminal state pays 1.0 with probability f(centre) and
+    0.0 otherwise, one ``rng.random()`` per draw.
 
     ``reward_draws`` counts every reward sample handed out, which is how
     the fixed simulation budgets are audited.
@@ -116,7 +116,6 @@ class FunctionEnv:
         function,
         branching: int = DEFAULT_BRANCHING,
         threshold: float = DEFAULT_THRESHOLD,
-        bernoulli: bool = True,
     ):
         if callable(function):
             self._fn = function
@@ -133,7 +132,6 @@ class FunctionEnv:
             raise ValueError("threshold must be positive")
         self.branching = branching
         self.threshold = threshold
-        self.bernoulli = bernoulli
         self.reward_draws = 0
         self._actions = range(branching)
 
@@ -192,6 +190,4 @@ class FunctionEnv:
             raise ValueError("reward is only defined at terminal states")
         self.reward_draws += 1
         p = self.probability(state)
-        if not self.bernoulli:
-            return p
         return 1.0 if rng.random() < p else 0.0

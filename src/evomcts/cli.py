@@ -39,7 +39,7 @@ from .analysis import (
     write_plotdata,
 )
 from .bench import FUNCTION_IDS, FunctionEnv
-from .mcts import UctPolicy, best_child, run_search
+from .mcts import UctPolicy, best_child, check_count, run_search
 from .siea import EvolutionConfig, run_siea_search
 
 __all__ = [
@@ -99,14 +99,9 @@ class ExperimentConfig:
 
     def __post_init__(self):
         self.out_dir = Path(self.out_dir)
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
-        if self.runs < 1:
-            raise ValueError("runs must be >= 1")
-        if self.bins < 1:
-            raise ValueError("bins must be >= 1")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
+        for name in ("iterations", "runs", "bins", "workers"):
+            check_count(name, getattr(self, name), 1)
+        check_count("base_seed", self.base_seed)
         if not self.functions:
             raise ValueError("no functions given")
         if not self.agents:

@@ -15,21 +15,23 @@ with exploration constant sqrt(2)::
 and :func:`parse` / ``str()`` round-trip exactly (constants are printed
 with ``repr`` so no precision is lost).
 
-:func:`evaluate` interprets a tree node by node and is the reference.
+The operators' semantics are written once, as the statements of
+``_OP_CODE`` (protected division as ``1.0 if abs(b) < 0.001 else a /
+b``, protected log as ``0.0 if ax < 0.001 else log(ax)``, saturation as
+a conditional at +-1e300), and a tree is scored only through them.
 :func:`compile_chooser` turns a tree into Python source once, for the
 search, which scores it many times: ``descend(node, rng)`` walks a
 search tree from ``node`` to the node to expand in one call and returns
-the path it walked, scoring the children at each level with results
-bit-identical to :func:`evaluate`.  Every operator is written inline
-(protected division as ``1.0 if abs(b) < 0.001 else a / b``, protected
-log as ``0.0 if ax < 0.001 else log(ax)``, saturation as a conditional
-at +-1e300) rather than as a helper call, and the subtrees that read
-only ``Np`` and constants are computed once per level, before the child
-loop.  :func:`compile_descent` is the one descent compiler: it wraps
-those lines, or ``UctPolicy``'s closed-form UCB1 lines, in the walk, and
-the selection half of the RNG protocol in ``mcts``'s docstring (ties
-kept in creation order, one ``draw_index`` draw only on a tie) is
-written there and nowhere else.
+the path it walked.  Every operator is written inline rather than as a
+helper call, and the subtrees that read only ``Np`` and constants are
+computed once per level, before the child loop.
+:func:`compile_descent` is the one descent compiler: it wraps those
+lines, or ``UctPolicy``'s closed-form UCB1 lines, in the walk, and the
+selection half of the RNG protocol in ``mcts``'s docstring (ties kept in
+creation order, one ``draw_index`` draw only on a tie) is written there
+and nowhere else.  :func:`build_scorer` runs the same statements
+through closures, compiling nothing, and :func:`evaluate` scores one
+edge context with it.
 
 A formula takes one of two routes to ``descend``, by how often it will
 score.  :func:`compile_chooser` pays ``compile()`` once, about 370 us
@@ -61,9 +63,6 @@ __all__ = [
     "Func",
     "K_VALUES",
     "DEFAULT_MAX_DEPTH",
-    "protected_div",
-    "protected_log",
-    "protected_sqrt",
     "evaluate",
     "draw_index",
     "compile_descent",
@@ -109,34 +108,6 @@ class NodeContext(NamedTuple):
     n_child: float
 
 
-def protected_div(x: float, y: float) -> float:
-    """x / y, except 1.0 whenever the divisor has magnitude below 0.001."""
-    if abs(y) < _PROTECT_EPS:
-        return 1.0
-    return x / y
-
-
-def protected_log(x: float) -> float:
-    """ln(|x|), except 0.0 whenever |x| is below 0.001."""
-    ax = abs(x)
-    if ax < _PROTECT_EPS:
-        return 0.0
-    return math.log(ax)
-
-
-def protected_sqrt(x: float) -> float:
-    """sqrt(|x|)."""
-    return math.sqrt(abs(x))
-
-
-def _saturate(v: float) -> float:
-    if v > _MAX_ABS:
-        return _MAX_ABS
-    if v < -_MAX_ABS:
-        return -_MAX_ABS
-    return v
-
-
 @dataclass(frozen=True)
 class Const:
     """Constant leaf."""
@@ -147,9 +118,6 @@ class Const:
         # Also keeps repr(value) a valid literal for compile_chooser.
         if not math.isfinite(self.value):
             raise ValueError(f"constant must be finite, got {self.value!r}")
-
-    def _eval(self, q: float, n_parent: float, n_child: float) -> float:
-        return self.value
 
     def _depth(self) -> int:
         return 1
@@ -167,14 +135,6 @@ class Var:
     def __post_init__(self):
         if self.name not in _VAR_NAMES:
             raise ValueError(f"unknown variable {self.name!r}")
-
-    def _eval(self, q: float, n_parent: float, n_child: float) -> float:
-        name = self.name
-        if name == "Q":
-            return q
-        if name == "Np":
-            return float(n_parent)
-        return float(n_child)
 
     def _depth(self) -> int:
         return 1
@@ -199,22 +159,6 @@ class Func:
             raise ValueError(f"unknown operator {self.op!r}")
         if len(self.args) != arity:
             raise ValueError(f"{self.op} expects {arity} argument(s), got {len(self.args)}")
-
-    def _eval(self, q: float, n_parent: float, n_child: float) -> float:
-        op = self.op
-        a = self.args[0]._eval(q, n_parent, n_child)
-        if op == "log":
-            return protected_log(a)
-        if op == "sqrt":
-            return protected_sqrt(a)
-        b = self.args[1]._eval(q, n_parent, n_child)
-        if op == "add":
-            return _saturate(a + b)
-        if op == "sub":
-            return _saturate(a - b)
-        if op == "mul":
-            return _saturate(a * b)
-        return _saturate(protected_div(a, b))
 
     def _depth(self) -> int:
         return 1 + max(child._depth() for child in self.args)
@@ -242,16 +186,6 @@ class Expression:
         return "".join(out)
 
 
-def evaluate(expression: Expression, ctx: NodeContext) -> float:
-    """Evaluate an expression on one edge context.
-
-    Total over finite inputs: protected operators plus saturation of the
-    binary operators at +-1e300 guarantee a finite float for every
-    expression built from the declared operator set.
-    """
-    return expression.root._eval(ctx.q, ctx.n_parent, ctx.n_child)
-
-
 def draw_index(rng: random.Random, n: int) -> int:
     """The index ``rng.randrange(n)`` would draw, for ``n >= 1``.
 
@@ -270,9 +204,9 @@ def draw_index(rng: random.Random, n: int) -> int:
 
 # Compiled formulas write every operator inline, as the statements below
 # (``{r}`` the result, ``{a}``/``{b}`` the operands), and scorer closures
-# run the same statements, with each comparison in the direction and
-# order the interpreter makes it, so NaN and -0.0 take the same branches
-# as in protected_div, protected_log and _saturate.
+# run the same statements, so both routes take the same branch on every
+# input.  The comparisons are written so that NaN fails each of them: a
+# NaN divisor divides and a NaN result passes the saturation unchanged.
 # Saturation is one conditional expression rather than an if/elif
 # statement: the same tests, but cheaper to compile.
 _SATURATE = (
@@ -393,11 +327,10 @@ def compile_chooser(expression: Expression):
 
     Constants are written with ``repr`` (exact for the finite floats
     ``Const`` admits), Np and Nc are converted with ``float()`` as
-    ``Var`` does, and each operator is written inline with the protected
-    operators' and the saturation's arithmetic and comparisons.  The
-    operators whose subtree reads only Np and constants run once per
-    level, before the child loop, and only the statistics the tree reads
-    are fetched.  ``q`` divides by ``float(c.visits)`` when Nc is read
+    :func:`evaluate` does, and each operator is written inline as its
+    ``_OP_CODE`` statements.  The operators whose subtree reads only Np
+    and constants run once per level, before the child loop, and only
+    the statistics the tree reads are fetched.  ``q`` divides by ``float(c.visits)`` when Nc is read
     too, which gives the same bits as dividing by the int.
     """
     per_node: list = []
@@ -460,7 +393,7 @@ _VAR_SCORERS = {
 
 def _scorer(func):
     # The closure of an operator node: one frame per tree level, built
-    # and called, as in the interpreter.
+    # and called.
     kinds, made_with = [], []
     for child in func.args:
         kind = type(child)
@@ -479,12 +412,12 @@ def _scorer(func):
 def build_scorer(expression: Expression):
     """Build ``score(q, n_parent, n_child)`` from the tree, without compiling.
 
-    For float ``n_parent`` and ``n_child`` it returns the bits
-    ``evaluate(expression, NodeContext(q, n_parent, n_child))`` returns.
     Each operator node is one closure that runs the statements a
-    compiled formula runs inline for it, with the interpreter's
-    arithmetic and comparisons in the same order, so NaN, -0.0, the
-    0.001 guards and the saturation at +-1e300 take the same branches.
+    compiled formula runs inline for it, in the same order, so for
+    float ``n_parent`` and ``n_child`` a score has the bits of the
+    compiled formula's: NaN, -0.0, the 0.001 guards and the saturation
+    at +-1e300 take the same branches.  A variable or constant at the
+    root is returned as it is given.
     An operator reads a variable or constant operand inline and calls
     the closure of an operator operand.  The closures are made by one
     factory per operator and kinds of operand, all compiled once, at
@@ -498,6 +431,19 @@ def build_scorer(expression: Expression):
         value = root.value
         return lambda q, n_parent, n_child: value
     return _VAR_SCORERS[root.name]
+
+
+def evaluate(expression: Expression, ctx: NodeContext) -> float:
+    """Score the tree on one edge context.
+
+    The bits ``build_scorer(expression)`` returns for ``ctx.q`` and the
+    two visit counts as floats, as a descent converts them.  Total over
+    finite inputs: the protected operators and the saturation of the
+    binary operators at +-1e300 give a finite float for every expression
+    built from the declared operator set.  The closures are built on
+    every call; a search builds them, or compiles the tree, once.
+    """
+    return build_scorer(expression)(ctx.q, float(ctx.n_parent), float(ctx.n_child))
 
 
 _make_scored_descent = _descent_factory(

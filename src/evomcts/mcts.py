@@ -24,8 +24,8 @@ there once.  The same skeleton, compiled once per process, walks the
 tree for :func:`~evomcts.expr.scorer_descent`, which scores a formula
 through closures and compiles nothing; ``siea`` evaluates offspring
 with it.  Each policy also scores one child when called as
-``policy(q, n_parent, n_child)``, the reference its ``descend``
-reproduces bit for bit.
+``policy(q, n_parent, n_child)``, with the arithmetic of its
+``descend``.
 
 RNG protocol (all determinism and the trace tests rest on this): the
 engine draws from a single ``random.Random`` stream.  Every index pick
@@ -60,6 +60,7 @@ __all__ = [
     "run_iteration",
     "run_search",
     "best_child",
+    "check_count",
 ]
 
 
@@ -135,9 +136,8 @@ class ExpressionPolicy:
 
     ``select`` calls ``descend``, the tree compiled here into one
     function that walks from the root to the node to expand and returns
-    the path it walked;
-    ``__call__`` scores one child with the interpreter, which is the
-    reference the descent reproduces bit for bit.
+    the path it walked; ``__call__`` scores one child through
+    :func:`~evomcts.expr.evaluate`, with the same bits.
     """
 
     def __init__(self, expression: Expression):
@@ -227,8 +227,7 @@ def run_search(env, policy, iterations: int, rng: random.Random):
     Iterations that re-select an already-expanded terminal node consume
     budget without logging anything.
     """
-    if iterations < 1:
-        raise ValueError("iterations must be >= 1")
+    check_count("iterations", iterations, 1)
     root = create_root(env)
     log: list = []
     for i in range(iterations):
@@ -254,3 +253,18 @@ def best_child(root: SearchNode, rng: random.Random) -> SearchNode:
     if not ties:
         raise ValueError("root has no visited children")
     return ties[0] if len(ties) == 1 else ties[draw_index(rng, len(ties))]
+
+
+def check_count(name: str, value, minimum: int | None = None) -> None:
+    """Raise ValueError unless ``value`` is an int, not a bool, and at
+    least ``minimum`` (when given).
+
+    A float or a bool passes a bare ``value < 1`` test, and then fails
+    late or runs the wrong experiment: ``2.5`` raises TypeError deep in
+    a run, ``1.0`` formats as ``"1.0"`` where a seed key wants ``"1"``,
+    and ``True`` counts as 1.
+    """
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}")

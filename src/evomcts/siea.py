@@ -20,8 +20,8 @@ An offspring's fitness evaluation scores a few hundred children, too
 few to repay a ``compile()``, so it walks the tree through closures
 (:func:`~evomcts.expr.scorer_descent`).  Only the best-of-run formula,
 which then scores children for thousands of iterations, is compiled, by
-:class:`~evomcts.mcts.ExpressionPolicy`.  Both routes score bit for bit
-as :func:`~evomcts.expr.evaluate` does.
+:class:`~evomcts.mcts.ExpressionPolicy`.  Both routes run the one set
+of operator statements in ``expr``, so they score bit for bit alike.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from types import SimpleNamespace
 
 from .expr import Expression, mutate, scorer_descent, uct_seed
-from .mcts import ExpressionPolicy, create_root, run_iteration, run_search
+from .mcts import ExpressionPolicy, check_count, create_root, run_iteration, run_search
 
 __all__ = [
     "Individual",
@@ -70,18 +70,9 @@ class EvolutionConfig:
     beta: float = 10.0
 
     def __post_init__(self):
-        # A float or bool count would construct and then fail inside
-        # evolve, or (True) count as 1.
-        for name in ("lambda_", "generations", "sims_per_eval"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.lambda_ < 1:
-            raise ValueError("lambda_ must be >= 1")
-        if self.generations < 0:
-            raise ValueError("generations must be >= 0")
-        if self.sims_per_eval < 1:
-            raise ValueError("sims_per_eval must be >= 1")
+        check_count("lambda_", self.lambda_, 1)
+        check_count("generations", self.generations, 0)
+        check_count("sims_per_eval", self.sims_per_eval, 1)
         # With alpha = -inf every gap to alpha is inf, so the semantic
         # branch would log a uniform pick among all tied offspring.
         if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
@@ -120,8 +111,7 @@ def evaluate_individual(expression: Expression, env, sims: int, rng: random.Rand
     ``run_search`` of ``sims`` iterations with
     ``ExpressionPolicy(expression)``.
     """
-    if sims < 1:
-        raise ValueError("sims must be >= 1")
+    check_count("sims", sims, 1)
     tree = create_root(env)
     # A policy is whatever provides descend; nothing here calls it to score.
     policy = SimpleNamespace(descend=scorer_descent(expression))
@@ -232,10 +222,7 @@ def run_siea_search(env, config: EvolutionConfig, post_iterations: int, rng: ran
     >= 1 before evolving.
     """
     # Checked here, before evolution spends its draws, not in run_search.
-    if not isinstance(post_iterations, int) or isinstance(post_iterations, bool):
-        raise ValueError(f"post_iterations must be an integer, got {post_iterations!r}")
-    if post_iterations < 1:
-        raise ValueError("post_iterations must be >= 1")
+    check_count("post_iterations", post_iterations, 1)
     best, history = evolve(env, config, rng)
     root, log = run_search(env, ExpressionPolicy(best.expression), post_iterations, rng)
     return root, log, best, history

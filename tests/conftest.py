@@ -3,9 +3,18 @@
 Everything here is written independently of the library internals: the
 scalar benchmark oracles re-derive each function with plain ``math``
 calls, the array oracles evaluate it over numpy arrays (numpy is a test
-dependency only), and ``closed_form_uct`` is the selection score
-written out directly.  Tests compare these second routes against the library so a
-bug would have to appear twice, identically, to slip through.
+dependency only), ``closed_form_uct`` is the selection score written
+out directly, and ``interpret`` scores an expression tree node by node,
+with the protected operators written out here.  Tests compare these
+second routes against the library so a bug would have to appear twice,
+identically, to slip through.  ``interpret`` reads a tree only through
+its nodes' fields and imports nothing from ``evomcts.expr``, the module
+whose two scoring routes it checks.
+
+Two stand-ins replace what the library no longer ships for tests alone:
+``ExpectedRewardEnv``, a ``FunctionEnv`` that pays a terminal state's
+success probability instead of a coin flip, and ``report_from_rows``,
+which builds a ``HistogramReport`` from dense rows of mean counts.
 """
 
 import math
@@ -14,6 +23,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from hypothesis import settings
+
+from evomcts.analysis import HistogramReport
+from evomcts.bench import FunctionEnv
 
 # Property tests draw the same examples on every run, so a tier-1 result
 # never depends on which random examples a run happened to try.
@@ -28,6 +40,55 @@ settings.load_profile("derandomized")
 def closed_form_uct(q, n_parent, n_child, c):
     """Mean value plus c * sqrt(2 ln(parent visits) / child visits)."""
     return q + c * math.sqrt(2.0 * math.log(n_parent) / n_child)
+
+
+# ----------------------------------------------------------------------
+# Expression interpreter (reference for compiled and closure-built scores)
+# ----------------------------------------------------------------------
+
+
+def interpret(expression, q, n_parent, n_child):
+    """Score an expression tree on one edge, node by node.
+
+    A constant node has ``value``, a variable ``name`` (Q, Np or Nc; the
+    visit counts are read as floats) and an operator ``op`` and
+    ``args``, evaluated left to right.  Division by a divisor of
+    magnitude below 0.001 gives 1.0; log is ln|x|, 0.0 for |x| below
+    0.001; sqrt is sqrt(|x|); the results of add, sub, mul and div are
+    clamped to +-1e300.  Every comparison is the one written below, so
+    NaN fails it: a NaN divisor divides and a NaN result is not clamped.
+    """
+
+    def value(node):
+        if hasattr(node, "value"):
+            return node.value
+        if hasattr(node, "name"):
+            if node.name == "Q":
+                return q
+            return float(n_parent if node.name == "Np" else n_child)
+        op = node.op
+        a = value(node.args[0])
+        if op == "log":
+            a = abs(a)
+            return 0.0 if a < 0.001 else math.log(a)
+        if op == "sqrt":
+            return math.sqrt(abs(a))
+        b = value(node.args[1])
+        if op == "add":
+            r = a + b
+        elif op == "sub":
+            r = a - b
+        elif op == "mul":
+            r = a * b
+        else:
+            r = 1.0 if abs(b) < 0.001 else a / b
+        if r > 1e300:
+            return 1e300
+        if r < -1e300:
+            return -1e300
+        return r
+
+    return value(expression.root)
 
 
 # ----------------------------------------------------------------------
@@ -188,6 +249,30 @@ def eval_raw(function_id, x):
 def eval_clipped(function_id, x):
     """``eval_raw`` clamped into [0, 1], as the library clamps."""
     return np.clip(eval_raw(function_id, x), 0.0, 1.0)
+
+
+# ----------------------------------------------------------------------
+# Deterministic rewards and dense histogram rows
+# ----------------------------------------------------------------------
+
+
+class ExpectedRewardEnv(FunctionEnv):
+    """A ``FunctionEnv`` whose reward is the success probability itself,
+    so a search's rewards follow from its states alone; a reward draw
+    consumes no randomness and is counted in ``reward_draws``."""
+
+    def sample_reward(self, state, rng):
+        if not self.is_terminal(state):
+            raise ValueError("reward is only defined at terminal states")
+        self.reward_draws += 1
+        return self.probability(state)
+
+
+def report_from_rows(bins, rows, runs, config_id):
+    """A ``HistogramReport`` from three dense rows of ``bins`` mean
+    counts, one per tertile: each row's non-zero bins, as floats."""
+    cells = [{i: float(v) for i, v in enumerate(row) if v} for row in rows]
+    return HistogramReport(bins, cells, runs, config_id)
 
 
 # ----------------------------------------------------------------------

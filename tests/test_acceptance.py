@@ -19,11 +19,11 @@ import time
 import numpy as np
 import pytest
 
-from conftest import closed_form_uct, eval_clipped, eval_raw
+from conftest import ExpectedRewardEnv, closed_form_uct, eval_clipped, eval_raw
 from evomcts.analysis import aggregate, count_peaks, peak_mass, run_report
 from evomcts.bench import FUNCTION_IDS, FunctionEnv, eval_function
 from evomcts.cli import AgentSpec, derive_run_seed
-from evomcts.expr import NodeContext, evaluate, uct_seed
+from evomcts.expr import build_scorer, uct_seed
 from evomcts.mcts import UctPolicy, run_search
 from evomcts.siea import (
     EvolutionConfig,
@@ -268,7 +268,7 @@ class TestAcceptance:
         ok = True
         details = []
         for seed in (1, 7, 20260819, 424242, 8675309):
-            env = FunctionEnv(reward_fn, threshold=0.2, bernoulli=False)
+            env = ExpectedRewardEnv(reward_fn, threshold=0.2)
             root, log = run_search(env, UctPolicy(1.0), 20, random.Random(seed))
             expansions, stats = _oracle_trace(
                 reward_fn, 1.0, 0.2, 20, random.Random(seed)
@@ -301,21 +301,22 @@ class TestAcceptance:
         """The serialisable seed formula reproduces the closed form.
 
         10^5 random contexts (visit counts up to 10^6, child visits no
-        larger than the parent's), evaluated through the expression
-        interpreter for every canonical exploration constant, must stay
-        within 1e-9 of the directly computed score.
+        larger than the parent's), scored through the seed tree's
+        closures (``build_scorer``, built once per constant) for every
+        canonical exploration constant, must stay within 1e-9 of the
+        directly computed score.
         """
         rng = random.Random(97)
         contexts = []
         for _ in range(100_000):
             n_parent = rng.randrange(1, 1_000_000)
             n_child = rng.randrange(1, n_parent + 1)
-            contexts.append(NodeContext(rng.random(), float(n_parent), float(n_child)))
+            contexts.append((rng.random(), float(n_parent), float(n_child)))
         worst = 0.0
         for c in C_VALUES:
-            tree = uct_seed(c)
+            score = build_scorer(uct_seed(c))
             for ctx in contexts:
-                err = abs(evaluate(tree, ctx) - closed_form_uct(*ctx, c))
+                err = abs(score(*ctx) - closed_form_uct(*ctx, c))
                 if err > worst:
                     worst = err
         detail = f"worst abs error={worst:.3e} over {len(contexts)} contexts x {len(C_VALUES)} constants"

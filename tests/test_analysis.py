@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import report_from_rows
 from evomcts.analysis import (
     HistogramReport,
     aggregate,
@@ -183,8 +184,8 @@ def _bits(values):
 
 @st.composite
 def _leaf_reports(draw, bins):
-    """A run report from a log, or a mean report built from lists or
-    from its non-zero cells."""
+    """A run report from a log, or a mean report built from its
+    non-zero cells, given directly or as dense rows."""
     runs = draw(st.integers(1, 30))
     if draw(st.booleans()):
         iterations = draw(st.integers(1, 60))
@@ -195,14 +196,14 @@ def _leaf_reports(draw, bins):
     rows = [[draw(cells) / runs for _ in range(bins)] for _ in range(3)]
     if draw(st.booleans()):
         cells = [{i: v for i, v in enumerate(row) if v} for row in rows]
-        return HistogramReport.from_cells(bins, cells, runs, "cfg")
-    return HistogramReport(bins, rows, runs, "cfg")
+        return HistogramReport(bins, cells, runs, "cfg")
+    return report_from_rows(bins, rows, runs, "cfg")
 
 
 class TestListHistograms:
     def test_edges_and_midpoints_are_numpys(self):
         for bins in range(1, 5001):
-            report = HistogramReport(bins, [], 1, "cfg")
+            report = HistogramReport(bins, (), 1, "cfg")
             edges = np.linspace(0.0, 1.0, bins + 1)
             assert np.array_equal(_bits(report.edges), edges.view(np.uint64)), bins
             mids = 0.5 * (edges[:-1] + edges[1:])
@@ -503,9 +504,7 @@ class TestExportBytes:
         self, bins, runs, seed, kind, config_id, text, c_or_evolved, run_seed, visit
     ):
         rng = np.random.default_rng(seed)
-        report = HistogramReport(
-            bins=bins, tertile_counts=_counts(rng, bins, runs, kind), runs=runs, config_id=config_id
-        )
+        report = report_from_rows(bins, _counts(rng, bins, runs, kind), runs, config_id)
         meta = {"function": text, "policy": "uct", "c_or_evolved": c_or_evolved}
         meta["run_seed"] = run_seed
         if visit:

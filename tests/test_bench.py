@@ -268,15 +268,6 @@ class TestFunctionEnv:
         assert abs(total / n - 0.5) < 0.005
         assert env.reward_draws == n
 
-    def test_deterministic_reward_stub(self):
-        env = FunctionEnv("f1", bernoulli=False, threshold=2.0)
-        rng = random.Random(47)
-        before = rng.getstate()
-        reward = env.sample_reward(env.initial_state(), rng)
-        assert reward == eval_function("f1", 0.5)
-        assert rng.getstate() == before  # stub consumes no randomness
-        assert env.reward_draws == 1
-
     def test_callable_probability_clamped(self):
         env = FunctionEnv(lambda x: 1.7, threshold=2.0)
         assert env.probability(env.initial_state()) == 1.0

@@ -147,6 +147,17 @@ class TestExperimentConfig:
             with pytest.raises(ValueError):
                 ExperimentConfig(agents=[AgentSpec("uct", 1.0)], **kwargs)
 
+    @pytest.mark.parametrize("field", ["iterations", "runs", "bins", "workers", "base_seed"])
+    @pytest.mark.parametrize("value", [2.5, 1.0, True])
+    def test_counts_must_be_integers(self, tmp_path, field, value):
+        # bins=2.5 ran every search of the first configuration and wrote
+        # its logs before export raised TypeError; base_seed=1.0 gave
+        # every run another seed than base_seed=1; runs=True ran once.
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            run_experiment(_uct_cfg(out, **{field: value}))
+        assert not out.exists()
+
 
 def _uct_cfg(out_dir, **kwargs):
     defaults = dict(

@@ -1,15 +1,17 @@
 """Expression-tree tests: protected operators, evaluation, the seeded
 selection rule, random growth, subtree mutation, and serialisation."""
 
+import ast
 import math
 import random
 import struct
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_descent_picks, closed_form_uct, leaf, one_level_root
+from conftest import assert_descent_picks, closed_form_uct, interpret, leaf, one_level_root
 from evomcts.expr import (
     Const,
     DEFAULT_MAX_DEPTH,
@@ -23,9 +25,6 @@ from evomcts.expr import (
     evaluate,
     mutate,
     parse,
-    protected_div,
-    protected_log,
-    protected_sqrt,
     random_subtree,
     scorer_descent,
     uct_seed,
@@ -35,7 +34,7 @@ ANY_CTX = NodeContext(0.5, 10.0, 5.0)
 
 # The two routes from a tree to a descent: the tree compiled as source,
 # and the tree's closures around a walk compiled at import.  Each must
-# match the interpreter on every input the tests below draw.
+# match conftest's interpreter on every input the tests below draw.
 DESCENT_BUILDERS = (compile_chooser, scorer_descent)
 
 
@@ -50,29 +49,36 @@ def _const_values(expression):
     return [n.value for n in _walk(expression.root) if type(n) is Const]
 
 
+def _one_op(op, a, b=None):
+    """``evaluate`` of ``(op Q)`` at Q = a, or of ``(op Q Nc)`` at Q = a
+    and Nc = b: one protected operator, through the shipped route."""
+    args = (Var("Q"),) if b is None else (Var("Q"), Var("Nc"))
+    return evaluate(Expression(Func(op, args)), NodeContext(a, 1.0, 1.0 if b is None else b))
+
+
 class TestProtectedOperators:
     def test_div_near_zero_divisor_returns_one(self):
-        assert protected_div(1.0, 0.0005) == 1.0
-        assert protected_div(123.0, -0.0009) == 1.0
-        assert protected_div(0.0, 0.0) == 1.0
+        assert _one_op("div", 1.0, 0.0005) == 1.0
+        assert _one_op("div", 123.0, -0.0009) == 1.0
+        assert _one_op("div", 0.0, 0.0) == 1.0
 
     def test_div_normal(self):
-        assert protected_div(6.0, 3.0) == 2.0
-        assert protected_div(1.0, -2.0) == -0.5
+        assert _one_op("div", 6.0, 3.0) == 2.0
+        assert _one_op("div", 1.0, -2.0) == -0.5
         # Threshold is on magnitude and exclusive: 0.001 itself divides.
-        assert protected_div(1.0, 0.001) == 1000.0
+        assert _one_op("div", 1.0, 0.001) == 1000.0
 
     def test_log_magnitude_and_floor(self):
-        assert protected_log(math.e) == pytest.approx(1.0)
-        assert protected_log(-math.e) == pytest.approx(1.0)
-        assert protected_log(0.0) == 0.0
-        assert protected_log(0.0005) == 0.0
-        assert protected_log(-0.0009) == 0.0
+        assert _one_op("log", math.e) == pytest.approx(1.0)
+        assert _one_op("log", -math.e) == pytest.approx(1.0)
+        assert _one_op("log", 0.0) == 0.0
+        assert _one_op("log", 0.0005) == 0.0
+        assert _one_op("log", -0.0009) == 0.0
 
     def test_sqrt_magnitude(self):
-        assert protected_sqrt(4.0) == 2.0
-        assert protected_sqrt(-4.0) == 2.0
-        assert protected_sqrt(0.0) == 0.0
+        assert _one_op("sqrt", 4.0) == 2.0
+        assert _one_op("sqrt", -4.0) == 2.0
+        assert _one_op("sqrt", 0.0) == 0.0
 
 
 class TestEvaluate:
@@ -405,8 +411,7 @@ class _Reward:
 def _reference_ties(expression, n_parent, children):
     best, ties = -math.inf, []
     for child in children:
-        ctx = NodeContext(child.total_reward / child.visits, n_parent, child.visits)
-        score = evaluate(expression, ctx)
+        score = interpret(expression, child.total_reward / child.visits, n_parent, child.visits)
         if score > best:
             best, ties = score, [child]
         elif score == best:
@@ -445,8 +450,24 @@ class TestTotalisation:
         e = Expression(root)
         score = build_scorer(e)
         for ctx in (NodeContext(q, n_parent, n_child), NodeContext(n_child, q, n_parent)):
-            got, want = score(*ctx), evaluate(e, ctx)
+            got, want = score(*ctx), interpret(e, *ctx)
             assert struct.pack("<d", got) == struct.pack("<d", want)
+
+    @given(
+        root=_trees,
+        q=_finite,
+        n_parent=st.one_of(st.integers(min_value=1, max_value=10**9), _finite),
+        n_child=st.one_of(st.integers(min_value=1, max_value=10**9), _finite),
+    )
+    @settings(max_examples=300)
+    def test_evaluate_matches_interpreter_bits(self, root, q, n_parent, n_child):
+        # Int visit counts too: evaluate converts them with float(), as
+        # a descent does and the closures do not.  Ints up to 10^9 often
+        # give the same bits unconverted, so the type is checked as well.
+        e = Expression(root)
+        got, want = evaluate(e, NodeContext(q, n_parent, n_child)), interpret(e, q, n_parent, n_child)
+        assert type(got) is float
+        assert struct.pack("<d", got) == struct.pack("<d", want)
 
     @pytest.mark.parametrize("op", ["add", "sub", "mul", "div", "log", "sqrt"])
     def test_compiled_matches_interpreter_on_edges(self, op):
@@ -498,7 +519,7 @@ class TestTotalisation:
         for _ in range(300):
             node = Func("sqrt", (node,))
         e = Expression(Func("sub", (Var("Q"), Func("mul", (node, Var("Nc"))))))
-        assert evaluate(Expression(node), NodeContext(0.5, 7.0, 3.0)) == 1.0
+        assert interpret(Expression(node), 0.5, 7.0, 3.0) == 1.0
         children = [leaf(v, v * v) for v in (1, 2, 3)]
         want = _reference_ties(e, 7, children)
         assert want == children
@@ -514,3 +535,18 @@ class TestTotalisation:
         value = evaluate(Expression(node), NodeContext(0.5, 1e6, 1.0))
         assert math.isfinite(value)
         assert value == 1e300
+
+
+def test_interpreter_shares_no_code_with_expr():
+    # The oracle must not reach the module whose routes it checks, or a
+    # bug there could appear on both sides of every comparison.
+    tree = ast.parse(Path(__file__).with_name("conftest.py").read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [f"{node.module}.{a.name}" for a in node.names]
+        else:
+            continue
+        for name in names:
+            assert name != "evomcts.expr" and not name.startswith("evomcts.expr."), name

@@ -9,7 +9,14 @@ from types import SimpleNamespace
 
 import pytest
 
-from conftest import assert_descent_picks, assert_same_path, closed_form_uct, tree_signature
+from conftest import (
+    ExpectedRewardEnv,
+    assert_descent_picks,
+    assert_same_path,
+    closed_form_uct,
+    interpret,
+    tree_signature,
+)
 from evomcts import expr, mcts
 from evomcts.bench import FunctionEnv, IntervalState, eval_function
 from evomcts.expr import K_VALUES, draw_index, parse, uct_seed
@@ -29,19 +36,23 @@ from evomcts.mcts import (
 from evomcts.siea import EvolutionConfig, evaluate_individual, run_siea_search
 
 
-def _leaf_env(**kwargs):
-    """Environment whose root interval is already terminal."""
-    return FunctionEnv(kwargs.pop("function", "f1"), threshold=2.0, **kwargs)
+def _reference_score(policy):
+    """The score a policy's ``descend`` must reproduce: UCB1's closed
+    form, or conftest's interpreter on the policy's expression."""
+    if isinstance(policy, ExpressionPolicy):
+        return lambda q, n_parent, n_child: interpret(policy.expression, q, n_parent, n_child)
+    return policy
 
 
 def _best_children(policy, n_parent, children):
-    """Reference chooser: score each child with ``policy(q, n_parent,
-    n_child)`` and keep the ties at the top score, among which each
-    level of a ``descend`` must pick."""
+    """Reference chooser: score each child with the policy's reference
+    score and keep the ties at the top score, among which each level of
+    a ``descend`` must pick."""
+    score_of = _reference_score(policy)
     best_score = -math.inf
     ties = []
     for child in children:
-        score = policy(child.total_reward / child.visits, n_parent, child.visits)
+        score = score_of(child.total_reward / child.visits, n_parent, child.visits)
         if score > best_score:
             best_score = score
             ties = [child]
@@ -385,7 +396,7 @@ class TestExpand:
 
 class TestRollout:
     def test_zero_length_rollout_at_terminal(self):
-        env = _leaf_env(bernoulli=False)
+        env = ExpectedRewardEnv("f1", threshold=2.0)
         node = SearchNode(env.initial_state())
         rng = random.Random(63)
         before = rng.getstate()
@@ -407,7 +418,7 @@ class TestRollout:
         assert abs(total / 10_000 - 0.98) < 0.01
 
     def test_random_descent_reaches_terminal(self):
-        env = FunctionEnv("f1", threshold=0.2, bernoulli=False)
+        env = ExpectedRewardEnv("f1", threshold=0.2)
         node = SearchNode(env.initial_state())
         rng = random.Random(66)
         rewards = {rollout(node, env, rng) for _ in range(200)}
@@ -477,7 +488,7 @@ class TestRunIteration:
         assert root.visits == 40
 
     def test_terminal_reselection_consumes_budget_without_growth(self):
-        env = FunctionEnv("f1", threshold=0.6, bernoulli=False)
+        env = ExpectedRewardEnv("f1", threshold=0.6)
         root = create_root(env)
         rng = random.Random(69)
         assert run_iteration(root, UctPolicy(1.0), env, rng) is not None
@@ -489,6 +500,15 @@ class TestRunIteration:
 
 
 class TestRunSearch:
+    @pytest.mark.parametrize("iterations", [2.5, 1.0, True])
+    def test_non_integer_iterations_rejected(self, iterations):
+        # 2.5 and 1.0 used to fail with a TypeError from range(); True
+        # ran one iteration.
+        env = FunctionEnv("f1")
+        with pytest.raises(ValueError, match="iterations must be an integer"):
+            run_search(env, UctPolicy(1.0), iterations, random.Random(70))
+        assert env.reward_draws == 0
+
     def test_log_matches_expansions(self):
         env = FunctionEnv("f1")
         root, log = run_search(env, UctPolicy(0.5), 300, random.Random(70))
@@ -563,7 +583,8 @@ class TestCloneAndBestChild:
             best_child(create_root(env), random.Random(78))
 
     def test_create_root_on_terminal_environment(self):
-        root = create_root(_leaf_env())
+        # The root interval is already terminal.
+        root = create_root(FunctionEnv("f1", threshold=2.0))
         assert root.untried == []
 
 

@@ -188,6 +188,15 @@ class TestEvaluateIndividual:
         evaluate_individual(uct_seed(1.0), env, 17, random.Random(90))
         assert env.reward_draws == 17
 
+    @pytest.mark.parametrize("sims", [2.5, 1.0, True])
+    def test_non_integer_sims_rejected(self, sims):
+        # 2.5 and 1.0 used to fail with a TypeError from range(); True
+        # ran one iteration.
+        env = FunctionEnv("f1")
+        with pytest.raises(ValueError, match="sims must be an integer"):
+            evaluate_individual(uct_seed(1.0), env, sims, random.Random(90))
+        assert env.reward_draws == 0
+
     @given(
         tree_seed=st.integers(0, 2**32 - 1),
         seed=st.integers(0, 2**32 - 1),
@@ -238,7 +247,7 @@ class TestEvolutionConfig:
             EvolutionConfig(alpha=10.0, beta=10.0)
 
     @pytest.mark.parametrize("field", ["lambda_", "generations", "sims_per_eval"])
-    @pytest.mark.parametrize("value", [2.5, 2.0, True, False, "2"])
+    @pytest.mark.parametrize("value", [2.5, 2.0, 1.0, True, False, "2"])
     def test_counts_must_be_integers(self, field, value):
         # lambda_=2.5 used to construct and then fail with a TypeError
         # inside evolve; generations=True gave an eval_budget of 120.
@@ -376,7 +385,7 @@ class TestRunSieaSearch:
             run_siea_search(env, EvolutionConfig(), post_iterations, random.Random(100))
         assert env.reward_draws == 0
 
-    @pytest.mark.parametrize("post_iterations", [2.5, 20.0, True])
+    @pytest.mark.parametrize("post_iterations", [2.5, 20.0, 1.0, True])
     def test_non_integer_deployment_rejected_before_evolving(self, post_iterations):
         # 2.5 passed the < 1 check, spent the evolution draws, and then
         # range() raised a TypeError; True would have run one iteration.
