@@ -20,13 +20,20 @@ Exports: CSV (one row per tertile/bin), JSON (whole report), and a
 blank line between tertile blocks so gnuplot sees separate datasets).
 The bytes of all three are a contract: ``tests/test_analysis.py``
 compares them with the per-cell writers the module first shipped, and
-pins the sha256 of every file of a small grid.  The writers read
-each report's lists once and build each file as one string with the
-per-value work done in C: CSV and gnuplot rows are joined from shared
-prefixes and ``repr``s, and the JSON layout is
-``json.dump(indent=2, sort_keys=True)``'s, with every list of scalars
-sent through json's C encoder (which ``json.dump`` only uses without
-``indent``) by carrying the newline and indent in the item separator.
+pins the sha256 of every file of a small grid.  Their cost follows the
+non-zero cells, since a short run expands few of many bins: a report
+formats its counts once, as ``repr(float(count))`` for each cell and
+one shared ``"0.0"`` for every other bin, and all three writers read
+those strings.  The text that depends only on the bin count (edge
+``repr``s, CSV spans, gnuplot prefixes, the JSON ``edges`` array) is
+built once per bin count and cached.  Each tertile's rows are one
+``str.join`` in C, with the row prefix carried in the separator.  The
+JSON layout is ``json.dump(indent=2, sort_keys=True)``'s: the count
+arrays are joined from the same strings, spelling non-finite counts
+as json does (``NaN``, ``Infinity``, ``-Infinity``), and the rest of
+the payload sends every list of scalars through json's C encoder
+(which ``json.dump`` only uses without ``indent``) by carrying the
+newline and indent in the item separator.
 """
 
 from __future__ import annotations
@@ -37,7 +44,7 @@ import io
 import json
 import math
 from collections import Counter
-from itertools import repeat
+from operator import add
 
 __all__ = [
     "HistogramReport",
@@ -76,22 +83,32 @@ class HistogramReport:
     dict per tertile, holding every non-zero bin, so that ``aggregate``
     costs in proportion to the bins the runs hit; bins outside ``cells``
     count 0.  ``tertile_counts``, three lists of ``bins`` mean counts as
-    floats, is built from them when it is first read.
+    floats, and ``count_strings``, their ``repr``s as the writers print
+    them, are built from the cells when they are first read.
     """
 
     def __init__(self, bins: int, cells, runs: int, config_id: str):
         self.bins, self.runs, self.config_id = bins, runs, config_id
         self.cells = tuple(cells)
 
-    @functools.cached_property
-    def tertile_counts(self) -> list:
+    def _rows(self, fill, convert) -> list:
         rows = []
         for cells in self.cells:
-            row = [0.0] * self.bins
+            row = [fill] * self.bins
             for i, count in cells.items():
-                row[i] = float(count)
+                row[i] = convert(count)
             rows.append(row)
         return rows
+
+    @functools.cached_property
+    def tertile_counts(self) -> list:
+        return self._rows(0.0, float)
+
+    @functools.cached_property
+    def count_strings(self) -> list:
+        """``repr(float(count))`` of every bin, one list per tertile; the
+        bins outside ``cells`` share one ``"0.0"``."""
+        return self._rows("0.0", lambda count: repr(float(count)))
 
     @property
     def edges(self) -> list:
@@ -270,6 +287,26 @@ _CSV_FIELDS = (
 _CSV_HEADER = ",".join(_CSV_FIELDS) + "\r\n"
 
 
+@functools.lru_cache(maxsize=4)
+def _csv_spans(bins: int) -> tuple:
+    """Each bin's ``,{index},{low},{high},`` columns of a CSV row."""
+    edges = list(map(repr, _edges(bins)))
+    return tuple([f",{i},{lo},{hi}," for i, (lo, hi) in enumerate(zip(edges, edges[1:]))])
+
+
+@functools.lru_cache(maxsize=4)
+def _json_edges(bins: int) -> str:
+    """The ``edges`` array as ``write_json`` lays it out."""
+    return "[\n    " + ",\n    ".join(map(repr, _edges(bins))) + "\n  ]"
+
+
+@functools.lru_cache(maxsize=4)
+def _plot_prefixes(bins: int) -> tuple:
+    """Each tertile's ``"{midpoint} {tertile} "`` row prefixes."""
+    mids = list(map(repr, _midpoints(bins)))
+    return tuple(tuple([f"{mid} {t} " for mid in mids]) for t in range(TERTILE_COUNT))
+
+
 def write_csv(report: HistogramReport, path, meta: dict) -> None:
     """One row per (tertile, bin); ``meta`` supplies the run columns
     (function, policy, c_or_evolved, run_seed), which are quoted once
@@ -280,17 +317,22 @@ def write_csv(report: HistogramReport, path, meta: dict) -> None:
         [report.config_id, meta["function"], meta["policy"], meta["c_or_evolved"], meta["run_seed"]]
     )
     head = line.getvalue()[: -len("\r\n")]
-    edges = list(map(repr, _edges(report.bins)))
-    spans = [f",{i},{lo},{hi}," for i, (lo, hi) in enumerate(zip(edges, edges[1:]))]
+    spans = _csv_spans(report.bins)
     text = "".join(
-        "".join(map("".join, zip(repeat(f"{head},{t}"), spans, map(repr, counts), repeat("\r\n"))))
-        for t, counts in enumerate(report.tertile_counts)
+        f"{head},{t}" + f"\r\n{head},{t}".join(map(add, spans, strings)) + "\r\n"
+        for t, strings in enumerate(report.count_strings)
     )
     with open(path, "w", newline="") as fh:
         fh.write(_CSV_HEADER + text)
 
 
-_JSON_CONTAINERS = (dict, list, tuple)
+class _Laid(str):
+    """JSON text already laid out for its place in the payload."""
+
+
+# A list holding laid-out text is laid out item by item, like one
+# holding containers.
+_JSON_CONTAINERS = (dict, list, tuple, _Laid)
 
 
 def _json_layout(value, pad: str) -> str:
@@ -299,6 +341,8 @@ def _json_layout(value, pad: str) -> str:
     goes through one C-encoder call whose item separator is a comma, a
     newline and the item indent.
     """
+    if isinstance(value, _Laid):
+        return value
     inner = pad + "  "
     if isinstance(value, dict):
         brackets = "{}"
@@ -316,18 +360,27 @@ def _json_layout(value, pad: str) -> str:
     return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}{brackets[1]}"
 
 
+_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
 def write_json(report: HistogramReport, path, meta: dict) -> None:
     """The report and ``meta`` as one JSON object, byte for byte as
     ``json.dump(payload, fh, indent=2, sort_keys=True)`` plus a newline
-    writes it.  The number arrays go through json's C encoder, with the
-    indent carried in the item separator (see ``_json_layout``).
+    writes it.  The ``edges`` and ``tertile_counts`` arrays are joined
+    from the cached edge text and the report's count strings; the rest
+    goes through ``_json_layout``.
     """
+    rows = []
+    for cells, strings in zip(report.cells, report.count_strings):
+        if not all(map(math.isfinite, cells.values())):
+            strings = [_JSON_NON_FINITE.get(s, s) for s in strings]
+        rows.append(_Laid("[\n      " + ",\n      ".join(strings) + "\n    ]"))
     payload = {
         "config_id": report.config_id,
         "bins": report.bins,
         "runs": report.runs,
-        "edges": report.edges,
-        "tertile_counts": report.tertile_counts,
+        "edges": _Laid(_json_edges(report.bins)),
+        "tertile_counts": rows,
         **meta,
     }
     text = _json_layout(payload, "")
@@ -337,10 +390,9 @@ def write_json(report: HistogramReport, path, meta: dict) -> None:
 
 def write_plotdata(report: HistogramReport, path) -> None:
     """3 columns (bin_mid, tertile, mean_count), blank line per tertile."""
-    prefixes = [f"{mid!r} " for mid in _midpoints(report.bins)]
     blocks = [
-        "".join(map("".join, zip(prefixes, repeat(f"{t} "), map(repr, counts), repeat("\n"))))
-        for t, counts in enumerate(report.tertile_counts)
+        "\n".join(map(add, prefixes, strings)) + "\n"
+        for prefixes, strings in zip(_plot_prefixes(report.bins), report.count_strings)
     ]
     with open(path, "w") as fh:
         fh.write("# bin_mid tertile mean_count\n" + "\n".join(blocks))

@@ -66,9 +66,14 @@ class AgentSpec:
         if self.kind == "uct":
             if self.c is None:
                 raise ValueError("uct agent needs an exploration constant")
+            # c is in the label and every log header: stored as a float,
+            # 1 logs as 1.0 does, and a bool is refused, not read as 0 or 1.
+            if isinstance(self.c, bool):
+                raise ValueError(f"uct exploration constant must be a number, got {self.c}")
             # An infinite or NaN c turns every UCB1 score into inf or NaN.
             if not math.isfinite(self.c):
                 raise ValueError(f"uct exploration constant must be finite, got {self.c}")
+            object.__setattr__(self, "c", float(self.c))
         elif self.kind == "siea":
             if self.c is not None:
                 raise ValueError("siea agent takes no constant")

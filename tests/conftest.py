@@ -270,8 +270,11 @@ class ExpectedRewardEnv(FunctionEnv):
 
 def report_from_rows(bins, rows, runs, config_id):
     """A ``HistogramReport`` from three dense rows of ``bins`` mean
-    counts, one per tertile: each row's non-zero bins, as floats."""
-    cells = [{i: float(v) for i, v in enumerate(row) if v} for row in rows]
+    counts, one per tertile: each row's bins other than 0.0, as floats
+    (so a -0.0 becomes a cell)."""
+    cells = [
+        {i: float(v) for i, v in enumerate(row) if v or math.copysign(1.0, v) < 0} for row in rows
+    ]
     return HistogramReport(bins, cells, runs, config_id)
 
 

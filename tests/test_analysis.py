@@ -360,6 +360,11 @@ class TestExports:
         counts = np.asarray(payload["tertile_counts"])
         assert counts.shape == (3, 10)
         assert counts.sum() == pytest.approx(60.0)
+        # A report without tertiles: an empty array, as json.dump writes it.
+        empty, want = HistogramReport(10, (), 1, "cfg"), tmp_path / "want.json"
+        write_json(empty, path, self.META)
+        _reference_write_json(empty, want, self.META)
+        assert path.read_bytes() == want.read_bytes()
 
     def test_plotdata_layout(self, tmp_path):
         report = self._report()
@@ -377,11 +382,17 @@ class TestExports:
         assert first[1] == "0"
 
     def test_exports_deterministic(self, tmp_path):
-        report = self._report()
-        paths = [tmp_path / f"{i}.csv" for i in range(2)]
-        for p in paths:
-            write_csv(report, p, self.META)
-        assert paths[0].read_bytes() == paths[1].read_bytes()
+        # Each report goes through all three writers twice, so a writer
+        # that changed the report's cached strings would show.
+        odd = [{0: math.nan, 3: math.inf}, {1: -math.inf, 2: -0.0}, {9: 5e-324}]
+        for name, report in (("plain", self._report()), ("odd", HistogramReport(10, odd, 1, "c"))):
+            for i in range(2):
+                write_csv(report, tmp_path / f"{name}{i}.csv", self.META)
+                write_json(report, tmp_path / f"{name}{i}.json", self.META)
+                write_plotdata(report, tmp_path / f"{name}{i}.dat")
+            for ext in ("csv", "json", "dat"):
+                first = (tmp_path / f"{name}0.{ext}").read_bytes()
+                assert (tmp_path / f"{name}1.{ext}").read_bytes() == first, (name, ext)
 
 
 # ----------------------------------------------------------------------
@@ -475,6 +486,10 @@ def _assert_same_bytes(report, meta):
 _AWKWARD = ["a,b", 'say "hi"', "two\nlines", "cr\rhere", "", " lead", "plain"]
 
 
+# Counts json spells its own way, the signed zero and the smallest subnormal.
+_SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.5]
+
+
 def _counts(rng, bins, runs, kind):
     raw = rng.integers(0, 40, size=(3, bins))
     raw[rng.random((3, bins)) < 0.4] = 0
@@ -482,6 +497,8 @@ def _counts(rng, bins, runs, kind):
         return raw
     if kind == "mean":
         return raw / runs
+    if kind == "special":
+        return np.where(raw > 0, rng.choice(_SPECIAL, size=(3, bins)), 0.0)
     return raw * rng.random((3, bins)) * 10.0 ** rng.integers(-300, 300, size=(3, bins))
 
 
@@ -491,7 +508,7 @@ class TestExportBytes:
         bins=st.integers(1, 300),
         runs=st.integers(1, 30),
         seed=st.integers(0, 2**32 - 1),
-        kind=st.sampled_from(["mean", "int", "wide"]),
+        kind=st.sampled_from(["mean", "int", "wide", "special"]),
         config_id=st.sampled_from(_AWKWARD + ["f1_uct_c0.5"]),
         text=st.text(alphabet=',"\n\r ab\u00e9', max_size=6),
         c_or_evolved=st.one_of(
@@ -510,6 +527,14 @@ class TestExportBytes:
         if visit:
             meta["visit_weighted_mean"] = (rng.random(bins) * 50).tolist()
         _assert_same_bytes(report, meta)
+
+    def test_layouts_rebuilt_after_the_cache_evicts_them(self):
+        # More bin counts than the per-layout caches hold, some revisited
+        # after eviction.
+        meta = {"function": "f1", "policy": "uct", "c_or_evolved": 0.5, "run_seed": 7}
+        log = [(i, (i % 10) / 10 + 0.05) for i in range(60)]
+        for bins in (1, 7, 2500, 3, 7, 11, 1):
+            _assert_same_bytes(run_report(log, 60, bins, "cfg"), meta)
 
     @pytest.mark.parametrize("text", _AWKWARD)
     def test_meta_strings_that_need_quoting(self, text):

@@ -9,6 +9,7 @@ import random
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -74,6 +75,19 @@ class TestAgentSpec:
     def test_non_finite_c_rejected(self, c):
         with pytest.raises(ValueError, match="must be finite"):
             AgentSpec("uct", c)
+
+    def test_c_is_stored_as_a_float(self, tmp_path):
+        # An integer c is its float: same label, log and export bytes.
+        trees = [tmp_path / "int", tmp_path / "float"]
+        for out, c in zip(trees, (1, 1.0)):
+            run_experiment(_uct_cfg(out, agents=[AgentSpec("uct", c)], iterations=20))
+        files = [sorted(p.relative_to(out) for p in out.rglob("*.*")) for out in trees]
+        assert files[0] == files[1] and len(files[0]) == 4
+        for name in files[0]:
+            assert (trees[0] / name).read_bytes() == (trees[1] / name).read_bytes(), name
+        for c in (True, False):
+            with pytest.raises(ValueError, match="must be a number"):
+                AgentSpec("uct", c)
 
 
 class TestParseAgents:
@@ -372,11 +386,20 @@ class TestRunExperiment:
         assert len(compiled) == 2
 
     def test_visit_weighted_export(self, tmp_path):
-        cfg = _uct_cfg(tmp_path, visit_weighted=True, bins=50)
-        run_experiment(cfg)
-        payload = json.loads((tmp_path / f"f1_{SQRT2_LABEL}.json").read_text())
-        assert len(payload["visit_weighted_mean"]) == 50
-        assert sum(payload["visit_weighted_mean"]) > 0
+        for runs in (1, 3):
+            out = tmp_path / f"runs{runs}"
+            run_experiment(_uct_cfg(out, visit_weighted=True, bins=50, runs=runs))
+            payload = json.loads((out / f"f1_{SQRT2_LABEL}.json").read_text())
+            assert len(payload["visit_weighted_mean"]) == 50
+            assert sum(payload["visit_weighted_mean"]) > 0
+            # The exact mean of the runs' counts, each run replayed from its header.
+            rows = []
+            for path in sorted((out / "logs").iterdir()):
+                header = json.loads(path.read_text().splitlines()[0])
+                rows.append(cli._execute_run((header, None, 50))[1])
+            assert len(rows) == runs
+            exact = [float(Fraction(sum(column), runs)) for column in zip(*rows)]
+            assert payload["visit_weighted_mean"] == exact, runs
 
     def test_log_header_replays_the_run(self, tmp_path):
         # The header is the task the worker ran: executing it again must
