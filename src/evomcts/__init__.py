@@ -4,68 +4,12 @@ Fixed UCB1 agents and a (1, lambda) evolution strategy over selection
 expressions compete on five 1-D benchmark functions turned into
 Bernoulli-reward bisection environments; analysis bins where each agent
 expanded its search tree over time.
-"""
 
-from .analysis import (
-    HistogramReport,
-    aggregate,
-    bin_centres,
-    count_peaks,
-    peak_mass,
-    run_report,
-    tertile_split,
-)
-from .bench import FUNCTION_IDS, FunctionEnv, IntervalState, eval_function
-from .expr import (
-    Expression,
-    NodeContext,
-    evaluate,
-    mutate,
-    parse,
-    random_subtree,
-    uct_seed,
-)
-from .mcts import (
-    ExpressionPolicy,
-    SearchNode,
-    UctPolicy,
-    best_child,
-    run_search,
-)
-from .siea import EvolutionConfig, Individual, evolve, run_siea_search, select_parent, ssd, ssi
+The API lives in the submodules: ``bench`` (environments), ``expr``
+(formulas), ``mcts`` (search), ``siea`` (evolution), ``analysis``
+(histograms and exports) and ``cli`` (the experiment grid).
+"""
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Expression",
-    "NodeContext",
-    "evaluate",
-    "uct_seed",
-    "mutate",
-    "random_subtree",
-    "parse",
-    "IntervalState",
-    "FunctionEnv",
-    "FUNCTION_IDS",
-    "eval_function",
-    "SearchNode",
-    "UctPolicy",
-    "ExpressionPolicy",
-    "run_search",
-    "best_child",
-    "EvolutionConfig",
-    "Individual",
-    "ssd",
-    "ssi",
-    "select_parent",
-    "evolve",
-    "run_siea_search",
-    "HistogramReport",
-    "tertile_split",
-    "bin_centres",
-    "run_report",
-    "aggregate",
-    "peak_mass",
-    "count_peaks",
-    "__version__",
-]
+__all__ = ["__version__"]

@@ -84,12 +84,15 @@ class HistogramReport:
     costs in proportion to the bins the runs hit; bins outside ``cells``
     count 0.  ``tertile_counts``, three lists of ``bins`` mean counts as
     floats, and ``count_strings``, their ``repr``s as the writers print
-    them, are built from the cells when they are first read.
+    them, are built from the cells when they are first read.  ``cells``
+    of other than three dicts raise ValueError.
     """
 
     def __init__(self, bins: int, cells, runs: int, config_id: str):
         self.bins, self.runs, self.config_id = bins, runs, config_id
         self.cells = tuple(cells)
+        if len(self.cells) != TERTILE_COUNT:
+            raise ValueError(f"expected {TERTILE_COUNT} tertile dicts, got {len(self.cells)}")
 
     def _rows(self, fill, convert) -> list:
         rows = []

@@ -38,7 +38,6 @@ __all__ = [
     "Individual",
     "EvolutionConfig",
     "ssd",
-    "ssi",
     "evaluate_individual",
     "select_parent",
     "evolve",
@@ -93,11 +92,6 @@ def ssd(p: list, q: list) -> float:
     if not p:
         raise ValueError("semantics must be non-empty")
     return sum(abs(a - b) for a, b in zip(p, q)) / len(p)
-
-
-def ssi(p: list, q: list, alpha: float, beta: float) -> bool:
-    """True when the semantic distance lies strictly between the bounds."""
-    return alpha < ssd(p, q) < beta
 
 
 def evaluate_individual(expression: Expression, env, sims: int, rng: random.Random) -> Individual:

@@ -203,11 +203,16 @@ def _leaf_reports(draw, bins):
 class TestListHistograms:
     def test_edges_and_midpoints_are_numpys(self):
         for bins in range(1, 5001):
-            report = HistogramReport(bins, (), 1, "cfg")
+            report = HistogramReport(bins, ({}, {}, {}), 1, "cfg")
             edges = np.linspace(0.0, 1.0, bins + 1)
             assert np.array_equal(_bits(report.edges), edges.view(np.uint64)), bins
             mids = 0.5 * (edges[:-1] + edges[1:])
             assert np.array_equal(_bits(report.midpoints()), mids.view(np.uint64)), bins
+
+    @pytest.mark.parametrize("tertiles", [0, 2, 4])
+    def test_other_than_three_tertiles_rejected(self, tertiles):
+        with pytest.raises(ValueError, match=f"got {tertiles}"):
+            HistogramReport(10, [{0: 1.0}] * tertiles, 1, "cfg")
 
     def test_reports_hold_lists_of_floats(self):
         reports = [run_report([(0, 0.3), (5, 0.3), (29, 0.9)], 30, 10, "cfg")] * 2
@@ -360,11 +365,9 @@ class TestExports:
         counts = np.asarray(payload["tertile_counts"])
         assert counts.shape == (3, 10)
         assert counts.sum() == pytest.approx(60.0)
-        # A report without tertiles: an empty array, as json.dump writes it.
-        empty, want = HistogramReport(10, (), 1, "cfg"), tmp_path / "want.json"
-        write_json(empty, path, self.META)
-        _reference_write_json(empty, want, self.META)
-        assert path.read_bytes() == want.read_bytes()
+        # A report without tertiles cannot be built, so no writer sees one.
+        with pytest.raises(ValueError, match="3 tertile dicts"):
+            HistogramReport(10, (), 1, "cfg")
 
     def test_plotdata_layout(self, tmp_path):
         report = self._report()
@@ -617,3 +620,30 @@ def test_grid_files_unchanged(tmp_path):
         if path.is_file()
     }
     assert digests == GRID_SHA256
+
+
+# sha256 of every log of a full-length grid: the default 5,000 iterations
+# and EA settings on all five functions, so descents reach depth 17 and
+# re-select terminal leaves, which the 150-iteration grid above never does.
+FULL_LENGTH_LOG_SHA256 = {
+    "f1_siea_run000.jsonl": "415461c781c585fe823c786c38211858b8da0fd12674e6a26c20c2180451d95a",
+    "f1_uct_c0.5_run000.jsonl": "bfe01b1b679d8a1d2536957b2269467bb6a6ba4ef2840fe3edd6bf9ed359df08",
+    "f2_siea_run000.jsonl": "3b2130216b96893fdd34388fc8d2e55326d60523e0d5b537647aee8de3403927",
+    "f2_uct_c0.5_run000.jsonl": "4edce2c24f50156eab4f5e82b5c73e296d0cb14471e957fb3e01f3127cfabe85",
+    "f3_siea_run000.jsonl": "9921bce286c60f5d1682403e74e8192107f7655616d135a162c83fb1fa6cd904",
+    "f3_uct_c0.5_run000.jsonl": "8d2d62fc0702a1254cbbf532ff77a8a544dc5742ce6e6d77a929f932b4e87813",
+    "f4_siea_run000.jsonl": "339dfadd80e41bbf68b91e2b3220f68245f4591539230dd33033ea4fb316f91b",
+    "f4_uct_c0.5_run000.jsonl": "2633596232e5e4cd0f0c565344dddb680836d755f2a2670eb65ae57ad4041a64",
+    "f5_siea_run000.jsonl": "1ae23771a0d92944d3973e6d5e3a7e139facd99627cea50581b2cd9e750256c0",
+    "f5_uct_c0.5_run000.jsonl": "7f4b7bc3ab0cf7976d7e1f7f53e0afca8069cc574126c3e16d6510ac1d9e1acc",
+}
+
+
+def test_full_length_logs_unchanged(tmp_path):
+    argv = ["--agents", "uct:0.5,siea", "--runs", "1", "--seed", "0", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    digests = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted((tmp_path / "logs").iterdir())
+    }
+    assert digests == FULL_LENGTH_LOG_SHA256

@@ -1,12 +1,15 @@
 """Every name a module exports must exist, so that deleting a function
-cannot leave a dangling entry in an ``__all__`` list behind."""
+cannot leave a dangling entry in an ``__all__`` list behind, and the
+README's library example must run as written."""
 
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
 import evomcts
+from evomcts.expr import parse
 
 MODULES = ["evomcts"] + [f"evomcts.{m.name}" for m in pkgutil.iter_modules(evomcts.__path__)]
 
@@ -29,3 +32,14 @@ def test_all_names_resolve(name):
     missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
     assert missing == [], name
     assert len(set(module.__all__)) == len(module.__all__), name
+
+
+def test_readme_library_example_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Library example", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    state, mass, formula = capsys.readouterr().out.splitlines()
+    assert state.startswith("IntervalState(")
+    assert float(mass) > 0.0
+    assert str(parse(formula)) == formula

@@ -22,7 +22,6 @@ from evomcts.siea import (
     run_siea_search,
     select_parent,
     ssd,
-    ssi,
 )
 
 _vectors = st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=40)
@@ -68,18 +67,6 @@ class TestSemanticDistance:
             assert 0.0 <= ssd(p, q) <= 1.0
 
 
-class TestSemanticSimilarity:
-    def test_inside_band(self):
-        assert ssi([7.0, 7.0], [0.0, 0.0], 5.0, 10.0) is True
-
-    def test_zero_distance_excluded(self):
-        assert ssi([1.0], [1.0], 0.5, 10.0) is False
-
-    def test_bounds_are_strict(self):
-        assert ssi([5.0, 5.0], [0.0, 0.0], 5.0, 10.0) is False
-        assert ssi([10.0, 10.0], [0.0, 0.0], 5.0, 10.0) is False
-
-
 def _ind(fitness, semantics, tag="Q"):
     return Individual(parse(tag), fitness, semantics)
 
@@ -105,6 +92,31 @@ class TestSelectParent:
         for seed in range(20):
             picked = select_parent([far, near], parent, 5.0, 10.0, random.Random(seed))
             assert picked == (1, "semantic")
+
+    def test_distance_inside_band_takes_semantic(self):
+        # Distance 7 lies inside (5, 10); the tied sibling at distance 0 does not.
+        parent = _ind(0.5, [0.0, 0.0])
+        same = _ind(0.9, [0.0, 0.0], tag="Np")
+        inside = _ind(0.9, [7.0, 7.0], tag="Nc")
+        for seed in range(20):
+            picked = select_parent([same, inside], parent, 5.0, 10.0, random.Random(seed))
+            assert picked == (1, "semantic")
+
+    def test_zero_distance_falls_through_to_random(self):
+        parent = _ind(0.5, [1.0])
+        offspring = [_ind(0.9, [1.0], tag="Np"), _ind(0.9, [1.0], tag="Nc")]
+        for seed in range(20):
+            _, branch = select_parent(offspring, parent, 0.5, 10.0, random.Random(seed))
+            assert branch == "random"
+
+    def test_band_bounds_are_strict(self):
+        # Distances of exactly alpha = 5 and beta = 10 are both outside.
+        parent = _ind(0.5, [0.0, 0.0])
+        at_alpha = _ind(0.9, [5.0, 5.0], tag="Np")
+        at_beta = _ind(0.9, [10.0, 10.0], tag="Nc")
+        for seed in range(20):
+            _, branch = select_parent([at_alpha, at_beta], parent, 5.0, 10.0, random.Random(seed))
+            assert branch == "random"
 
     def test_semantic_tiebreak_with_small_band(self):
         parent = _ind(0.5, [0.5] * 10)
