@@ -36,13 +36,13 @@ __all__ = [
     "eval_function",
     "FunctionEnv",
     "DEFAULT_THRESHOLD",
-    "DEFAULT_BRANCHING",
 ]
 
 DEFAULT_THRESHOLD = 1e-5
-DEFAULT_BRANCHING = 2
 
 FUNCTION_IDS = ("f1", "f2", "f3", "f4", "f5")
+
+_ACTIONS = range(2)
 
 
 class IntervalState(NamedTuple):
@@ -99,54 +99,43 @@ def eval_function(function_id: str, x: float) -> float:
 
 
 class FunctionEnv:
-    """Bisection environment over one benchmark function.
+    """Binary bisection environment over one benchmark function.
 
     Implements the search-engine contract: initial_state, actions,
     apply, is_terminal, playout, sample_reward, centre.  ``function`` is
     one of the ids in FUNCTION_IDS or any callable mapping [0, 1] ->
-    [0, 1].  A terminal state pays 1.0 with probability f(centre) and
-    0.0 otherwise, one ``rng.random()`` per draw.
+    [0, 1].  Every state has the two actions 0 and 1, which keep the
+    lower and the upper half of the interval split at its midpoint
+    ``a + (b - a) / 2``.  A terminal state pays 1.0 with probability
+    f(centre) and 0.0 otherwise, one ``rng.random()`` per draw.
 
     ``reward_draws`` counts every reward sample handed out, which is how
     the fixed simulation budgets are audited.
     """
 
-    def __init__(
-        self,
-        function,
-        branching: int = DEFAULT_BRANCHING,
-        threshold: float = DEFAULT_THRESHOLD,
-    ):
+    def __init__(self, function, threshold: float = DEFAULT_THRESHOLD):
         if callable(function):
             self._fn = function
-            self.function_id = getattr(function, "__name__", "custom")
         else:
             if function not in _SCALAR:
                 raise ValueError(f"unknown function {function!r}")
             self._fn = _SCALAR[function]
-            self.function_id = function
-        if branching < 2:
-            raise ValueError("branching must be >= 2")
         # Written so NaN fails too: a NaN threshold never ends a playout.
         if not threshold > 0.0:
             raise ValueError("threshold must be positive")
-        self.branching = branching
         self.threshold = threshold
         self.reward_draws = 0
-        self._actions = range(branching)
 
     def initial_state(self) -> IntervalState:
         return IntervalState(0.0, 1.0)
 
     def actions(self, state: IntervalState):
-        return self._actions
+        return _ACTIONS
 
     def apply(self, state: IntervalState, action: int) -> IntervalState:
         a, b = state
-        step = (b - a) / self.branching
-        lo = a + action * step
-        hi = b if action == self.branching - 1 else lo + step
-        return IntervalState(lo, hi)
+        mid = a + (b - a) / 2
+        return IntervalState(mid, b) if action else IntervalState(a, mid)
 
     def is_terminal(self, state: IntervalState) -> bool:
         return (state.b - state.a) < self.threshold
@@ -158,26 +147,25 @@ class FunctionEnv:
         """Uniform random walk from ``state`` to a terminal state.
 
         One loop in place of ``is_terminal``/``actions``/``apply`` per
-        step, with ``apply``'s arithmetic.  Each step makes the draw
-        ``rng.randrange(branching)`` would make, since ``actions`` is
-        ``range(branching)``, written inline as CPython 3.11's
-        ``randrange(n)`` does it: ``getrandbits(n.bit_length())``, drawn
-        again while the value is ``>= n``.  The values and the RNG state
+        step, keeping a random half of the interval split at its
+        midpoint.  Each step makes the draw ``rng.randrange(2)`` would
+        make, written inline as CPython 3.11's ``randrange(n)`` does it:
+        ``getrandbits(n.bit_length())``, here ``getrandbits(2)``, drawn
+        again while the value is ``>= 2``.  The values and the RNG state
         afterwards are the same as with ``randrange``.
         """
         a, b = state
-        threshold, branching = self.threshold, self.branching
-        last = branching - 1
+        threshold = self.threshold
         getrandbits = rng.getrandbits
-        k = branching.bit_length()
         while not (b - a) < threshold:
-            step = (b - a) / branching
-            action = getrandbits(k)
-            while action >= branching:
-                action = getrandbits(k)
-            a = a + action * step
-            if action != last:
-                b = a + step
+            mid = a + (b - a) / 2
+            action = getrandbits(2)
+            while action >= 2:
+                action = getrandbits(2)
+            if action:
+                a = mid
+            else:
+                b = mid
         return IntervalState(a, b)
 
     def probability(self, state: IntervalState) -> float:

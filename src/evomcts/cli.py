@@ -121,11 +121,12 @@ class ExperimentConfig:
         # agents sharing one would share seeds and overwrite each other.
         by_label: dict = {}
         for agent in self.agents:
-            other = by_label.setdefault(agent.label, agent)
-            if other is not agent:
+            other = by_label.get(agent.label)
+            if other is not None:
                 raise ValueError(
                     f"agents {other} and {agent} share the label {agent.label!r}"
                 )
+            by_label[agent.label] = agent
         if any(a.kind == "siea" for a in self.agents):
             if self.post_iterations < 1:
                 raise ValueError(

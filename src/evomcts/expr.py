@@ -526,15 +526,15 @@ def _replace(node, path: tuple, replacement):
     return Func(node.op, tuple(args))
 
 
-def mutate(expression: Expression, rng: random.Random, max_depth: int = DEFAULT_MAX_DEPTH) -> Expression:
-    """Subtree mutation: regrow a random point, keeping depth <= max_depth.
+def mutate(expression: Expression, rng: random.Random) -> Expression:
+    """Subtree mutation: regrow a random point within the depth cap.
 
     The mutation point is an internal (operator) node with probability
     0.9 and a leaf with probability 0.1, uniform within the chosen kind;
     a tree with no internal node mutates a leaf directly (no coin spent).
     The replacement is grown with the depth budget remaining below the
-    chosen point, so the result never exceeds ``max_depth``.  The input
-    expression is never modified.
+    chosen point, so the result never exceeds ``DEFAULT_MAX_DEPTH``.
+    The input expression is never modified.
     """
     internal: list = []
     leaves: list = []
@@ -543,9 +543,9 @@ def mutate(expression: Expression, rng: random.Random, max_depth: int = DEFAULT_
         path, depth = internal[rng.randrange(len(internal))]
     else:
         path, depth = leaves[rng.randrange(len(leaves))]
-    budget = max_depth - depth + 1
+    budget = DEFAULT_MAX_DEPTH - depth + 1
     if budget < 1:
-        raise ValueError(f"expression deeper than max_depth={max_depth}")
+        raise ValueError(f"expression deeper than {DEFAULT_MAX_DEPTH}")
     replacement = _grow(budget, rng)
     return Expression(_replace(expression.root, path, replacement))
 

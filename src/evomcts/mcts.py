@@ -37,8 +37,8 @@ Score ties during selection consult the RNG only when at least two
 children are tied at the maximum, and pick among the tied children in
 creation order (written in ``compile_descent``'s skeleton); expansion
 pops a uniformly random untried action; a rollout (``env.playout``)
-makes, per step, the draw ``randrange(branching)`` would make, written
-inline the same way.
+makes, per step, the draw ``randrange(2)`` would make, written inline
+the same way.
 """
 
 from __future__ import annotations

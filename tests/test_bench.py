@@ -278,8 +278,6 @@ class TestFunctionEnv:
         with pytest.raises(ValueError):
             FunctionEnv("f9")
         with pytest.raises(ValueError):
-            FunctionEnv("f1", branching=1)
-        with pytest.raises(ValueError):
             FunctionEnv("f1", threshold=0.0)
         with pytest.raises(ValueError, match="threshold must be positive"):
             FunctionEnv("f1", threshold=float("nan"))
@@ -303,6 +301,23 @@ def _stepwise_playout(env, state, rng):
     return state
 
 
+def _half(state, action):
+    """Half ``action`` of ``state`` in step arithmetic, ``a + action * step``:
+    an oracle for ``FunctionEnv.apply`` that shares none of its code."""
+    a, b = state
+    step = (b - a) / 2
+    lo = a + action * step
+    hi = b if action == 1 else lo + step
+    return IntervalState(lo, hi)
+
+
+def _half_playout(state, threshold, rng):
+    """``FunctionEnv.playout`` written with ``_half`` and ``randrange``."""
+    while not (state.b - state.a) < threshold:
+        state = _half(state, rng.randrange(2))
+    return state
+
+
 class TestPlayout:
     @pytest.mark.parametrize("n", range(1, 10))
     def test_getrandbits_loop_is_randrange(self, n):
@@ -318,29 +333,32 @@ class TestPlayout:
             assert got == want_rng.randrange(n)
         assert got_rng.getstate() == want_rng.getstate()
 
-    @pytest.mark.parametrize("branching", range(2, 10))
     @pytest.mark.parametrize("threshold", [DEFAULT_THRESHOLD, 1e-3, 0.05, 0.34, 2.0])
-    def test_matches_stepwise_loop(self, branching, threshold):
-        # Branchings other than 2, 4 and 8 make the interval arithmetic
-        # non-dyadic, so a reordering of apply's operations would show in
-        # the last bit.  ``branching.bit_length()`` bits always reach past
-        # ``branching``, so the inline draw retries at every branching,
-        # and each retry must match ``randrange``'s.
-        env = FunctionEnv("f1", branching=branching, threshold=threshold)
+    def test_matches_stepwise_loop(self, threshold):
+        # ``_stepwise_playout`` follows ``env.apply``, while ``_half``
+        # computes each half on its own, so a change made to ``apply`` and
+        # ``playout`` alike still shows, down to the last bit.
+        env = FunctionEnv("f1", threshold=threshold)
         for seed in range(40):
-            # Start at depth 0 to 3: low bits of a rounding difference
-            # survive only while the interval's left end is small.
+            # Start at depth 0 to 3: rollouts start below the root.
             start = env.initial_state()
             rng_walk = random.Random(-seed)
             for _ in range(seed % 4):
                 if not env.is_terminal(start):
-                    start = env.apply(start, rng_walk.randrange(branching))
-            want_rng, got_rng = random.Random(seed), random.Random(seed)
-            want = _stepwise_playout(env, start, want_rng)
+                    start = env.apply(start, rng_walk.randrange(2))
+            for action in env.actions(start):
+                got = env.apply(start, action)
+                assert type(got) is IntervalState
+                assert struct.pack("<2d", *got) == struct.pack("<2d", *_half(start, action))
+            got_rng, step_rng, half_rng = (random.Random(seed) for _ in range(3))
             got = env.playout(start, got_rng)
             assert type(got) is IntervalState
-            assert struct.pack("<2d", *got) == struct.pack("<2d", *want)
-            assert got_rng.getstate() == want_rng.getstate()
+            for want in (
+                _stepwise_playout(env, start, step_rng),
+                _half_playout(start, threshold, half_rng),
+            ):
+                assert struct.pack("<2d", *got) == struct.pack("<2d", *want)
+            assert got_rng.getstate() == step_rng.getstate() == half_rng.getstate()
 
     def test_terminal_start_draws_nothing(self):
         env = FunctionEnv("f1", threshold=2.0)

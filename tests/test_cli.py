@@ -151,6 +151,13 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="share the label 'siea'"):
             ExperimentConfig(agents=[AgentSpec("siea"), AgentSpec("siea")])
 
+    def test_same_agent_object_twice_rejected(self):
+        # One AgentSpec listed twice has one label: its second runs would
+        # reuse the first runs' seeds and overwrite their logs.
+        a = AgentSpec("uct", 1.0)
+        with pytest.raises(ValueError, match="share the label 'uct_c1'"):
+            ExperimentConfig(agents=[a, a])
+
     def test_basic_bounds(self):
         for kwargs in (
             {"iterations": 0},
