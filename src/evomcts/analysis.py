@@ -49,7 +49,6 @@ from operator import add
 __all__ = [
     "HistogramReport",
     "tertile_split",
-    "bin_centres",
     "run_report",
     "aggregate",
     "peak_mass",
@@ -160,19 +159,13 @@ def _bin_indices(centres, bins: int) -> list:
     return indices
 
 
-def bin_centres(centres, bins: int) -> list:
-    """Count centres into ``bins`` equal-width bins over [0, 1].
-
-    A centre maps to floor(x * bins); x = 1.0 goes to the last bin.
-    """
-    counts = [0] * bins
-    for i in _bin_indices(centres, bins):
-        counts[i] += 1
-    return counts
-
-
 def run_report(log: list, total_iterations: int, bins: int, config_id: str) -> HistogramReport:
-    """Histogram report of a single run (runs = 1)."""
+    """Histogram report of a single run (runs = 1).
+
+    A centre ``x`` counts in bin floor(x * bins), x = 1.0 in the last;
+    a centre outside [0, 1], NaN included, or ``bins < 1`` raises
+    ValueError.
+    """
     cells = [Counter(_bin_indices(part, bins)) for part in tertile_split(log, total_iterations)]
     return HistogramReport(bins, cells, 1, config_id)
 

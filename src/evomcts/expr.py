@@ -1,11 +1,12 @@
-"""Expression trees used as tree-search selection formulas.
+"""Selection formulas written as expression trees.
 
 An expression is a small immutable tree over three statistics of a
 parent/child pair in the search tree (mean reward ``Q``, parent visit
 count ``Np``, child visit count ``Nc``) plus numeric constants.  The
 operator set is deliberately tiny and every operator is total: division,
 logarithm and square root are protected so that evaluation always yields
-a finite float, whatever the expression shape.
+a finite float, whatever the expression shape.  Every node, a ``Const``,
+a ``Var`` or a ``Func``, is an :class:`Expression`: the tree below it.
 
 Trees serialise to S-expressions, e.g. the classic UCB1 selection rule
 with exploration constant sqrt(2)::
@@ -18,38 +19,20 @@ with ``repr`` so no precision is lost).
 The operators' semantics are written once, as the statements of
 ``_OP_CODE`` (protected division as ``1.0 if abs(b) < 0.001 else a /
 b``, protected log as ``0.0 if ax < 0.001 else log(ax)``, saturation as
-a conditional at +-1e300), and a tree is scored only through them.
-:func:`compile_chooser` turns a tree into Python source once, for the
-search, which scores it many times: ``descend(node, rng)`` walks a
-search tree from ``node`` to the node to expand in one call and returns
-the path it walked.  Every operator is written inline rather than as a
-helper call, and the subtrees that read only ``Np`` and constants are
-computed once per level, before the child loop.
-:func:`compile_descent` is the one descent compiler: it wraps those
-lines, or ``UctPolicy``'s closed-form UCB1 lines, in the walk, and the
-selection half of the RNG protocol in ``mcts``'s docstring (ties kept in
-creation order, one ``draw_index`` draw only on a tie) is written there
-and nowhere else.  :func:`build_scorer` runs the same statements
-through closures, compiling nothing, and :func:`evaluate` scores one
-edge context with it.
-
-A formula takes one of two routes to ``descend``, by how often it will
-score.  :func:`compile_chooser` pays ``compile()`` once, about 370 us
-for an evolved formula (1,600 offspring of 20 evolved runs, 9.4 nodes
-on average), and then scores a child in about 0.56 us: the route for a
-formula deployed for thousands of iterations.  :func:`scorer_descent`
-compiles nothing: it builds :func:`build_scorer`'s closures, one per
-operator node (about 8 us per formula), and hands them to the same
-walk; a child then costs about 0.97 us.  The two break even near 870
-scored children, and an offspring's 30-iteration fitness evaluation
-scores a few hundred, so it takes the closure route.  Both give the
-same paths and RNG states, bit for bit.  The closure route's walk and
-its operator factories are compiled once, at import (about 7 ms).
+a conditional at +-1e300), and a tree is scored only through them, by
+one of two routes.  :func:`formula_code` writes a tree as those
+statements over ``q``, ``n_parent`` and ``n_child``, for ``mcts`` to
+compile into a search descent.  :func:`build_scorer` runs the same
+statements through closures, one per operator node, and compiles no
+formula; :func:`evaluate` scores one edge context with it.  The closure
+factories, one per operator and kinds of operand, are compiled on first
+use, so a process that never builds a scorer compiles none.  This module
+knows nothing of the search tree.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -64,11 +47,8 @@ __all__ = [
     "K_VALUES",
     "DEFAULT_MAX_DEPTH",
     "evaluate",
-    "draw_index",
-    "compile_descent",
-    "compile_chooser",
+    "formula_code",
     "build_scorer",
-    "scorer_descent",
     "uct_seed",
     "random_subtree",
     "mutate",
@@ -100,7 +80,7 @@ class NodeContext(NamedTuple):
 
     ``q`` is the child's mean rollout reward (in [0, 1] once visited),
     ``n_parent`` the parent's visit count (>= 1) and ``n_child`` the
-    child's visit count (>= 1; unvisited children are never scored).
+    child's visit count (>= 1: a child is scored only once visited).
     """
 
     q: float
@@ -108,26 +88,40 @@ class NodeContext(NamedTuple):
     n_child: float
 
 
+class Expression:
+    """A node of an expression tree, and the tree below it.
+
+    ``Const``, ``Var`` and ``Func`` are the node kinds.  ``str()`` gives
+    the S-expression form and ``depth()`` the depth: a lone leaf has
+    depth 1.
+    """
+
+    def depth(self) -> int:
+        return 1
+
+    def __str__(self) -> str:
+        out: list = []
+        self._write(out)
+        return "".join(out)
+
+
 @dataclass(frozen=True)
-class Const:
+class Const(Expression):
     """Constant leaf."""
 
     value: float
 
     def __post_init__(self):
-        # Also keeps repr(value) a valid literal for compile_chooser.
+        # Also keeps repr(value) a valid literal for formula_code.
         if not math.isfinite(self.value):
             raise ValueError(f"constant must be finite, got {self.value!r}")
-
-    def _depth(self) -> int:
-        return 1
 
     def _write(self, out: list) -> None:
         out.append(f"(k {self.value!r})")
 
 
 @dataclass(frozen=True)
-class Var:
+class Var(Expression):
     """Statistic leaf: one of Q, Np, Nc."""
 
     name: str
@@ -136,15 +130,12 @@ class Var:
         if self.name not in _VAR_NAMES:
             raise ValueError(f"unknown variable {self.name!r}")
 
-    def _depth(self) -> int:
-        return 1
-
     def _write(self, out: list) -> None:
         out.append(self.name)
 
 
 @dataclass(frozen=True)
-class Func:
+class Func(Expression):
     """Operator node: add/sub/mul/div (binary) or log/sqrt (unary)."""
 
     op: str
@@ -160,8 +151,8 @@ class Func:
         if len(self.args) != arity:
             raise ValueError(f"{self.op} expects {arity} argument(s), got {len(self.args)}")
 
-    def _depth(self) -> int:
-        return 1 + max(child._depth() for child in self.args)
+    def depth(self) -> int:
+        return 1 + max(child.depth() for child in self.args)
 
     def _write(self, out: list) -> None:
         out.append(f"({self.op}")
@@ -169,37 +160,6 @@ class Func:
             out.append(" ")
             child._write(out)
         out.append(")")
-
-
-@dataclass(frozen=True)
-class Expression:
-    """Immutable expression tree; ``str()`` yields the S-expression form."""
-
-    root: Const | Var | Func
-
-    def depth(self) -> int:
-        return self.root._depth()
-
-    def __str__(self) -> str:
-        out: list = []
-        self.root._write(out)
-        return "".join(out)
-
-
-def draw_index(rng: random.Random, n: int) -> int:
-    """The index ``rng.randrange(n)`` would draw, for ``n >= 1``.
-
-    Written as CPython 3.11's ``randrange(n)`` draws it:
-    ``getrandbits(n.bit_length())``, drawn again while the value is
-    ``>= n``.  The value and the RNG state afterwards are the same as
-    with ``randrange``, without its two Python-level frames.  The search
-    engine and the compiled descent make every index pick through it.
-    """
-    k = n.bit_length()
-    i = rng.getrandbits(k)
-    while i >= n:
-        i = rng.getrandbits(k)
-    return i
 
 
 # Compiled formulas write every operator inline, as the statements below
@@ -224,12 +184,9 @@ _OP_CODE = {
 _VAR_CODE = {"Q": ("q", True), "Np": ("n_parent", False), "Nc": ("n_child", True)}
 
 
-def _emit(node, per_node: list, per_child: list, reads: set) -> tuple:
+def _emit(node, per_level: list, per_child: list, reads: set) -> tuple:
     # Returns ``(operand, varies)``: the operand naming this node's value
-    # and whether it reads Q or Nc.  Operators whose subtree reads only Np
-    # and constants go to ``per_node``, the rest to ``per_child``; each
-    # operator writes a fresh name, so no tree is too deep for the compiler.
-    # ``reads`` collects the names of the variables the tree reads.
+    # and whether it reads Q or Nc.
     kind = type(node)
     if kind is Const:
         return repr(node.value), False
@@ -239,151 +196,70 @@ def _emit(node, per_node: list, per_child: list, reads: set) -> tuple:
     operands = []
     varies = False
     for child in node.args:
-        operand, child_varies = _emit(child, per_node, per_child, reads)
+        operand, child_varies = _emit(child, per_level, per_child, reads)
         operands.append(operand)
         varies = varies or child_varies
-    name = f"t{len(per_node) + len(per_child)}"
+    name = f"t{len(per_level) + len(per_child)}"
     code = _OP_CODE[node.op]
     b = operands[1] if len(operands) == 2 else None
-    (per_child if varies else per_node).extend(
+    (per_child if varies else per_level).extend(
         line.format(r=name, a=operands[0], b=b) for line in code
     )
     return name, varies
 
 
-def _descent_factory(level_lines: list, child_lines: list, score: str, free: tuple = ()):
-    """Build ``make(*free) -> descend``, the one descent skeleton.
+def formula_code(expression: Expression) -> tuple:
+    """The tree as Python statements: ``(per_level, per_child, result, reads)``.
 
-    ``descend(node, rng) -> path`` serves UCB1, compiled formulas and
-    scorer-built formulas alike.  From ``node``, while the node has no
-    untried action and has children, it runs ``level_lines`` once (they
-    may read ``node``), then for each ``child`` the ``child_lines``,
-    after which the expression ``score`` is the child's score, and it
-    moves to the child with the top score.  When several children tie
-    exactly at the top it moves to the one at ``draw_index(rng,
-    len(ties))`` among them in creation order: a single winner leaves
-    the RNG untouched, and the list of ties is built only on a tie.
-    Returns the path walked, the nodes from ``node`` to the node it
-    stops at, both included; raises ValueError when no child of a level
-    scores above -inf (``pick`` is set only on a score above the running
-    best, which starts at -inf).
-
-    The lines may call ``log`` and ``sqrt``, and read the names in
-    ``free``, which are bound by each call of ``make``.  The descent
-    calls the ``draw_index`` this module holds when the factory is built.
+    Each operator is written inline as its ``_OP_CODE`` statements and
+    assigns a fresh name, so no tree is too deep for the compiler.  The
+    statements read the statistics as the floats ``q``, ``n_parent`` and
+    ``n_child``, may call ``log`` and ``sqrt``, and write constants with
+    ``repr`` (exact for the finite floats ``Const`` admits).
+    ``per_level`` holds the operators whose subtree reads only Np and
+    constants, so a caller can run them once per parent; ``per_child``
+    holds the rest and runs after them.  ``result`` is the expression
+    that then gives the score, and ``reads`` the set of variable names
+    (``"Q"``, ``"Np"``, ``"Nc"``) the tree reads.  Run so, the
+    statements give the bits of :func:`evaluate`.
     """
-    source = "\n".join(
-        [
-            f"def make({', '.join(free)}):",
-            "    def descend(node, rng):",
-            "        path = [node]",
-            "        while not node.untried and node.children:",
-            *["            " + line for line in level_lines],
-            "            best = _NEG_INF",
-            "            pick = ties = None",
-            "            for child in node.children:",
-            *["                " + line for line in child_lines],
-            f"                if {score} > best:",
-            f"                    best = {score}",
-            "                    pick = child",
-            "                    ties = None",
-            f"                elif {score} == best:",
-            "                    if ties is None:",
-            "                        ties = [pick, child]",
-            "                    else:",
-            "                        ties.append(child)",
-            "            if pick is None:",
-            '                raise ValueError("selection scored no child above -inf")',
-            "            node = pick if ties is None else ties[draw_index(rng, len(ties))]",
-            "            path.append(node)",
-            "        return path",
-            "    return descend",
-        ]
-    )
-    namespace = {
-        "log": math.log,
-        "sqrt": math.sqrt,
-        "_NEG_INF": -math.inf,
-        "draw_index": draw_index,
-    }
-    exec(compile(source, "<compiled descent>", "exec"), namespace)
-    # Popped, so the function is not in the globals it holds: no cycle.
+    per_level: list = []
+    per_child: list = []
+    reads: set = set()
+    result, _ = _emit(expression, per_level, per_child, reads)
+    return per_level, per_child, result, reads
+
+
+@functools.cache
+def _operator_scorer(op: str, *kinds: str):
+    # ``make(a[, b]) -> score`` for operator ``op`` over operands of
+    # ``kinds``, where ``score(q, n_parent, n_child)`` runs the
+    # operator's _OP_CODE lines, the ones formula_code writes inline.  A
+    # kind is a variable's name, read inline; "k", a constant passed to
+    # ``make``; or "f", a closure passed to ``make`` and called.  A
+    # closure operand read twice is called once, first; closures are
+    # pure, so the order of the calls changes no result.
+    code = _OP_CODE[op]
+    args = ("a", "b")[: len(kinds)]
+    lines = [f"def make({', '.join(args)}):", "    def score(q, n_parent, n_child):"]
+    operands = {}
+    for x, kind in zip(args, kinds):
+        if kind == "k":
+            operands[x] = x
+        elif kind != "f":
+            operands[x] = _VAR_CODE[kind][0]
+        elif "".join(code).count(f"{{{x}}}") == 1:
+            operands[x] = f"{x}(q, n_parent, n_child)"
+        else:
+            lines.append(f"        {x}v = {x}(q, n_parent, n_child)")
+            operands[x] = f"{x}v"
+    lines += ["        " + line.format(r="r", **operands) for line in code]
+    lines += ["        return r", "    return score"]
+    namespace = {"log": math.log, "sqrt": math.sqrt}
+    exec(compile("\n".join(lines), "<operator scorers>", "exec"), namespace)
     return namespace.pop("make")
 
 
-def compile_descent(level_lines: list, child_lines: list, score: str):
-    """Compile ``descend(node, rng) -> path`` around one scoring rule
-    written as source lines: the :func:`_descent_factory` skeleton with
-    no free names."""
-    return _descent_factory(level_lines, child_lines, score)()
-
-
-def compile_chooser(expression: Expression):
-    """Build the search's ``descend(node, rng) -> path`` from the tree.
-
-    The :func:`compile_descent` walk, scoring each child ``c`` bit for
-    bit as ``evaluate(expression, NodeContext(c.total_reward /
-    c.visits, node.visits, c.visits))`` does.
-
-    Constants are written with ``repr`` (exact for the finite floats
-    ``Const`` admits), Np and Nc are converted with ``float()`` as
-    :func:`evaluate` does, and each operator is written inline as its
-    ``_OP_CODE`` statements.  The operators whose subtree reads only Np
-    and constants run once per level, before the child loop, and only
-    the statistics the tree reads are fetched.  ``q`` divides by ``float(c.visits)`` when Nc is read
-    too, which gives the same bits as dividing by the int.
-    """
-    per_node: list = []
-    per_child: list = []
-    reads: set = set()
-    result, _ = _emit(expression.root, per_node, per_child, reads)
-    level_lines = ["n_parent = float(node.visits)"] if "Np" in reads else []
-    child_lines = []
-    if "Nc" in reads:
-        child_lines.append("n_child = float(child.visits)")
-    if "Q" in reads:
-        visits = "n_child" if "Nc" in reads else "child.visits"
-        child_lines.append(f"q = child.total_reward / {visits}")
-    return compile_descent(level_lines + per_node, child_lines + per_child, result)
-
-
-# How an operator's closure reads an operand: a variable inline, "k" a
-# constant bound when the closure is made, "f" a call to the operand's
-# own closure.
-_OPERAND_KINDS = ("Q", "Np", "Nc", "k", "f")
-
-
-def _operator_scorers() -> dict:
-    # ``make(a, b) -> score`` for each operator and each kind of its
-    # operands, where ``score(q, n_parent, n_child)`` runs the
-    # operator's _OP_CODE lines, the ones compiled formulas run inline.
-    # ``a`` and ``b`` are the constants and the closures the operands
-    # need.  A closure operand read twice is called once, first;
-    # closures are pure, so the order of the calls changes no result.
-    lines = []
-    names = {}
-    for op, code in _OP_CODE.items():
-        args = ("a", "b") if op in _BINARY_OPS else ("a",)
-        for kinds in itertools.product(_OPERAND_KINDS, repeat=len(args)):
-            names[(op, *kinds)] = name = "_".join(("make", op, *kinds))
-            lines += [f"def {name}({', '.join(args)}):", "    def score(q, n_parent, n_child):"]
-            operands = {}
-            for x, kind in zip(args, kinds):
-                if kind != "f":
-                    operands[x] = x if kind == "k" else _VAR_CODE[kind][0]
-                elif "".join(code).count(f"{{{x}}}") == 1:
-                    operands[x] = f"{x}(q, n_parent, n_child)"
-                else:
-                    lines.append(f"        {x}v = {x}(q, n_parent, n_child)")
-                    operands[x] = f"{x}v"
-            lines += ["        " + line.format(r="r", **operands) for line in code]
-            lines += ["        return r", "    return score"]
-    namespace = {"log": math.log, "sqrt": math.sqrt}
-    exec(compile("\n".join(lines), "<operator scorers>", "exec"), namespace)
-    return {key: namespace.pop(name) for key, name in names.items()}
-
-
-_OP_SCORERS = _operator_scorers()
 _VAR_SCORERS = {
     "Q": lambda q, n_parent, n_child: q,
     "Np": lambda q, n_parent, n_child: n_parent,
@@ -406,31 +282,30 @@ def _scorer(func):
         else:
             kinds.append(child.name)
             made_with.append(None)
-    return _OP_SCORERS[(func.op, *kinds)](*made_with)
+    return _operator_scorer(func.op, *kinds)(*made_with)
 
 
 def build_scorer(expression: Expression):
-    """Build ``score(q, n_parent, n_child)`` from the tree, without compiling.
+    """Build ``score(q, n_parent, n_child)`` from the tree, compiling no formula.
 
-    Each operator node is one closure that runs the statements a
-    compiled formula runs inline for it, in the same order, so for
+    Each operator node is one closure that runs the statements
+    :func:`formula_code` writes inline for it, in the same order, so for
     float ``n_parent`` and ``n_child`` a score has the bits of the
     compiled formula's: NaN, -0.0, the 0.001 guards and the saturation
     at +-1e300 take the same branches.  A variable or constant at the
     root is returned as it is given.
     An operator reads a variable or constant operand inline and calls
     the closure of an operator operand.  The closures are made by one
-    factory per operator and kinds of operand, all compiled once, at
-    import; building a scorer compiles nothing.
+    factory per operator and kinds of operand, compiled the first time
+    any tree needs it and kept for the life of the process.
     """
-    root = expression.root
-    kind = type(root)
+    kind = type(expression)
     if kind is Func:
-        return _scorer(root)
+        return _scorer(expression)
     if kind is Const:
-        value = root.value
+        value = expression.value
         return lambda q, n_parent, n_child: value
-    return _VAR_SCORERS[root.name]
+    return _VAR_SCORERS[expression.name]
 
 
 def evaluate(expression: Expression, ctx: NodeContext) -> float:
@@ -446,25 +321,6 @@ def evaluate(expression: Expression, ctx: NodeContext) -> float:
     return build_scorer(expression)(ctx.q, float(ctx.n_parent), float(ctx.n_child))
 
 
-_make_scored_descent = _descent_factory(
-    ["n_parent = float(node.visits)"],
-    ["n_child = float(child.visits)", "s = score(child.total_reward / n_child, n_parent, n_child)"],
-    "s",
-    ("score",),
-)
-
-
-def scorer_descent(expression: Expression):
-    """The search's ``descend(node, rng) -> path`` for the tree, compiling nothing.
-
-    The :func:`_descent_factory` walk, compiled once, at import, around
-    one :func:`build_scorer` call per child: the same paths and RNG
-    state as :func:`compile_chooser`'s descent, at no ``compile()``
-    cost, but with one Python call per operator node and child.
-    """
-    return _make_scored_descent(build_scorer(expression))
-
-
 def uct_seed(c: float) -> Expression:
     """The UCB1 selection rule Q + c*sqrt(2*ln(Np)/Nc) as an expression tree.
 
@@ -477,7 +333,7 @@ def uct_seed(c: float) -> Expression:
         "sqrt",
         (Func("div", (Func("mul", (Const(2.0), Func("log", (Var("Np"),)))), Var("Nc"))),),
     )
-    return Expression(Func("add", (Var("Q"), Func("mul", (Const(float(c)), bonus)))))
+    return Func("add", (Var("Q"), Func("mul", (Const(float(c)), bonus))))
 
 
 def _random_terminal(rng: random.Random):
@@ -491,7 +347,7 @@ def _random_terminal(rng: random.Random):
 
 def _grow(depth_left: int, rng: random.Random):
     # Below the depth budget, operator vs terminal is a fair coin; at the
-    # budget a terminal is forced.  RNG order: coin, operator, children
+    # budget a terminal is forced.  RNG order: coin, operator, operands
     # left to right.
     if depth_left > 1 and rng.random() < 0.5:
         op = _OP_NAMES[rng.randrange(len(_OP_NAMES))]
@@ -505,7 +361,7 @@ def random_subtree(max_depth: int, rng: random.Random) -> Expression:
     """Grow a random expression of depth at most ``max_depth`` (>= 1)."""
     if max_depth < 1:
         raise ValueError("max_depth must be >= 1")
-    return Expression(_grow(max_depth, rng))
+    return _grow(max_depth, rng)
 
 
 def _collect(node, depth: int, path: tuple, internal: list, leaves: list) -> None:
@@ -534,20 +390,21 @@ def mutate(expression: Expression, rng: random.Random) -> Expression:
     a tree with no internal node mutates a leaf directly (no coin spent).
     The replacement is grown with the depth budget remaining below the
     chosen point, so the result never exceeds ``DEFAULT_MAX_DEPTH``.
-    The input expression is never modified.
+    The input expression is never modified.  A tree deeper than the cap
+    raises ValueError before any draw.
     """
     internal: list = []
     leaves: list = []
-    _collect(expression.root, 1, (), internal, leaves)
+    _collect(expression, 1, (), internal, leaves)
+    # The deepest node is a leaf.
+    if max(depth for _, depth in leaves) > DEFAULT_MAX_DEPTH:
+        raise ValueError(f"expression deeper than {DEFAULT_MAX_DEPTH}")
     if internal and rng.random() < 0.9:
         path, depth = internal[rng.randrange(len(internal))]
     else:
         path, depth = leaves[rng.randrange(len(leaves))]
-    budget = DEFAULT_MAX_DEPTH - depth + 1
-    if budget < 1:
-        raise ValueError(f"expression deeper than {DEFAULT_MAX_DEPTH}")
-    replacement = _grow(budget, rng)
-    return Expression(_replace(expression.root, path, replacement))
+    replacement = _grow(DEFAULT_MAX_DEPTH - depth + 1, rng)
+    return _replace(expression, path, replacement)
 
 
 def _tokenise(text: str) -> list:
@@ -594,4 +451,4 @@ def parse(text: str) -> Expression:
     node, pos = _parse_tokens(tokens, 0)
     if pos != len(tokens):
         raise ValueError(f"trailing tokens: {' '.join(tokens[pos:])}")
-    return Expression(node)
+    return node

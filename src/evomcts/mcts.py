@@ -15,30 +15,41 @@ of nodes from ``node`` down to the node it stops at, both included, and
 raises ValueError when no child of a level scores above -inf.  The path
 is the only record of ancestry, and backpropagation walks it: a node
 has no link to its parent, so a tree holds no reference cycle and is
-freed as soon as its root is dropped.  Two policies are provided:
-closed-form UCB1 with a fixed exploration constant, and an expression
-tree.  One compiler, :func:`~evomcts.expr.compile_descent`, builds both
-policies' ``descend`` from the lines that score a child; the walk, the
-tie bookkeeping, the tie-break draw and the -inf check are written
-there once.  The same skeleton, compiled once per process, walks the
-tree for :func:`~evomcts.expr.scorer_descent`, which scores a formula
-through closures and compiles nothing; ``siea`` evaluates offspring
-with it.  Each policy also scores one child when called as
-``policy(q, n_parent, n_child)``, with the arithmetic of its
-``descend``.
+freed as soon as its root is dropped.  Each policy also scores one
+child when called as ``policy(q, n_parent, n_child)``, with the
+arithmetic of its ``descend``.
+
+Selection lives in this module alone.  Every ``descend`` is one
+skeleton, :func:`_descent_factory`: the walk, the tie bookkeeping, the
+tie-break draw and the -inf check are written there once, around the
+lines that score a child.  Two policies are provided.
+:class:`UctPolicy` compiles it around closed-form UCB1 with a fixed
+exploration constant (:func:`compile_descent`), and
+:class:`ExpressionPolicy` around the statements
+:func:`~evomcts.expr.formula_code` writes for an expression tree
+(:func:`compile_chooser`).  A formula takes one of two routes to a
+``descend``, by how often it will score.  :func:`compile_chooser` pays
+``compile()`` once, about 0.3 ms for an evolved formula (9.4 nodes on
+average), and a child then costs about 0.35 us: the route for a formula
+deployed for thousands of iterations.  :func:`scorer_descent` compiles
+no formula: it builds :func:`~evomcts.expr.build_scorer`'s closures, in
+about 4 us, and hands them to one copy of the skeleton, compiled at
+import; a child then costs about 0.7 us.  The two break even near 1,000
+scored children, and an offspring's 30-iteration fitness evaluation
+scores a few hundred, so ``siea`` takes the closure route.  Both give
+the same paths and RNG states, bit for bit.
 
 RNG protocol (all determinism and the trace tests rest on this): the
 engine draws from a single ``random.Random`` stream.  Every index pick
 makes the draw ``rng.randrange(n)`` would make, through
-:func:`~evomcts.expr.draw_index`, which writes it with ``getrandbits``
-as CPython 3.11's ``randrange`` does, so the values and the stream state
-afterwards are the same; uniform floats come from ``rng.random()``.
-Score ties during selection consult the RNG only when at least two
-children are tied at the maximum, and pick among the tied children in
-creation order (written in ``compile_descent``'s skeleton); expansion
-pops a uniformly random untried action; a rollout (``env.playout``)
-makes, per step, the draw ``randrange(2)`` would make, written inline
-the same way.
+:func:`draw_index`, which writes it with ``getrandbits`` as CPython
+3.11's ``randrange`` does, so the values and the stream state afterwards
+are the same; uniform floats come from ``rng.random()``.  Score ties
+during selection consult the RNG only when at least two children are
+tied at the maximum, and pick among the tied children in creation order
+(written in :func:`_descent_factory`'s skeleton); expansion pops a
+uniformly random untried action; a rollout (``env.playout``) makes, per
+step, the draw ``randrange(2)`` would make, written inline the same way.
 """
 
 from __future__ import annotations
@@ -46,12 +57,16 @@ from __future__ import annotations
 import math
 import random
 
-from .expr import Expression, NodeContext, compile_chooser, compile_descent, draw_index, evaluate
+from .expr import Expression, NodeContext, build_scorer, evaluate, formula_code
 
 __all__ = [
     "SearchNode",
     "UctPolicy",
     "ExpressionPolicy",
+    "draw_index",
+    "compile_descent",
+    "compile_chooser",
+    "scorer_descent",
     "create_root",
     "select",
     "expand",
@@ -103,10 +118,136 @@ class SearchNode:
         )
 
 
+def draw_index(rng: random.Random, n: int) -> int:
+    """The index ``rng.randrange(n)`` would draw, for ``n >= 1``.
+
+    Written as CPython 3.11's ``randrange(n)`` draws it:
+    ``getrandbits(n.bit_length())``, drawn again while the value is
+    ``>= n``.  The value and the RNG state afterwards are the same as
+    with ``randrange``, without its two Python-level frames.  The engine
+    and every compiled descent make each index pick through it.
+    """
+    k = n.bit_length()
+    i = rng.getrandbits(k)
+    while i >= n:
+        i = rng.getrandbits(k)
+    return i
+
+
+def _descent_factory(level_lines: list, child_lines: list, score: str, free: tuple = ()):
+    """Build ``make(*free) -> descend``, the one descent skeleton.
+
+    ``descend(node, rng) -> path`` serves UCB1, compiled formulas and
+    scorer-built formulas alike.  From ``node``, while the node has no
+    untried action and has children, it runs ``level_lines`` once (they
+    may read ``node``), then for each ``child`` the ``child_lines``,
+    after which the expression ``score`` is the child's score, and it
+    moves to the child with the top score.  When several children tie
+    exactly at the top it moves to the one at ``draw_index(rng,
+    len(ties))`` among them in creation order: a single winner leaves
+    the RNG untouched, and the list of ties is built only on a tie.
+    Returns the path walked, the nodes from ``node`` to the node it
+    stops at, both included; raises ValueError when no child of a level
+    scores above -inf (``pick`` is set only on a score above the running
+    best, which starts at -inf).
+
+    The lines may call ``log`` and ``sqrt``, and read the names in
+    ``free``, which are bound by each call of ``make``.  The descent
+    calls the ``draw_index`` this module holds when the factory is built.
+    """
+    source = "\n".join(
+        [
+            f"def make({', '.join(free)}):",
+            "    def descend(node, rng):",
+            "        path = [node]",
+            "        while not node.untried and node.children:",
+            *["            " + line for line in level_lines],
+            "            best = _NEG_INF",
+            "            pick = ties = None",
+            "            for child in node.children:",
+            *["                " + line for line in child_lines],
+            f"                if {score} > best:",
+            f"                    best = {score}",
+            "                    pick = child",
+            "                    ties = None",
+            f"                elif {score} == best:",
+            "                    if ties is None:",
+            "                        ties = [pick, child]",
+            "                    else:",
+            "                        ties.append(child)",
+            "            if pick is None:",
+            '                raise ValueError("selection scored no child above -inf")',
+            "            node = pick if ties is None else ties[draw_index(rng, len(ties))]",
+            "            path.append(node)",
+            "        return path",
+            "    return descend",
+        ]
+    )
+    namespace = {
+        "log": math.log,
+        "sqrt": math.sqrt,
+        "_NEG_INF": -math.inf,
+        "draw_index": draw_index,
+    }
+    exec(compile(source, "<compiled descent>", "exec"), namespace)
+    # Popped, so the function is not in the globals it holds: no cycle.
+    return namespace.pop("make")
+
+
+def compile_descent(level_lines: list, child_lines: list, score: str):
+    """Compile ``descend(node, rng) -> path`` around one scoring rule
+    written as source lines: the :func:`_descent_factory` skeleton with
+    no free names."""
+    return _descent_factory(level_lines, child_lines, score)()
+
+
+def compile_chooser(expression: Expression):
+    """Build the search's ``descend(node, rng) -> path`` from the tree.
+
+    The :func:`compile_descent` walk, scoring each child ``c`` bit for
+    bit as ``evaluate(expression, NodeContext(c.total_reward /
+    c.visits, node.visits, c.visits))`` does: the statements of
+    :func:`~evomcts.expr.formula_code`, with their per-level part run
+    once per level, before the child loop.  Only the statistics the tree
+    reads are fetched, and Np and Nc are converted with ``float()`` as
+    ``evaluate`` does.  ``q`` divides by ``float(c.visits)`` when Nc is
+    read too, which gives the same bits as dividing by the int.
+    """
+    per_level, per_child, result, reads = formula_code(expression)
+    level_lines = ["n_parent = float(node.visits)"] if "Np" in reads else []
+    child_lines = []
+    if "Nc" in reads:
+        child_lines.append("n_child = float(child.visits)")
+    if "Q" in reads:
+        visits = "n_child" if "Nc" in reads else "child.visits"
+        child_lines.append(f"q = child.total_reward / {visits}")
+    return compile_descent(level_lines + per_level, child_lines + per_child, result)
+
+
+_make_scored_descent = _descent_factory(
+    ["n_parent = float(node.visits)"],
+    ["n_child = float(child.visits)", "s = score(child.total_reward / n_child, n_parent, n_child)"],
+    "s",
+    ("score",),
+)
+
+
+def scorer_descent(expression: Expression):
+    """The search's ``descend(node, rng) -> path`` for the tree, compiling no formula.
+
+    The :func:`_descent_factory` walk, compiled once, at import, around
+    one :func:`~evomcts.expr.build_scorer` call per child: the same
+    paths and RNG state as :func:`compile_chooser`'s descent, at no
+    ``compile()`` cost, but with one Python call per operator node and
+    child.
+    """
+    return _make_scored_descent(build_scorer(expression))
+
+
 class UctPolicy:
     """Closed-form UCB1 score: q + c * sqrt(2 * ln(n_parent) / n_child).
 
-    ``descend`` is built by :func:`~evomcts.expr.compile_descent`, with
+    ``descend`` is built by :func:`compile_descent`, with
     ``c`` written into its source and ``2.0 * log(n_parent)`` computed
     once per level: ``2.0 * log(n_parent) / n_child`` evaluates left to
     right, so the hoisting leaves every score unchanged.
@@ -134,9 +275,10 @@ class UctPolicy:
 class ExpressionPolicy:
     """Score children with an expression tree.
 
-    ``select`` calls ``descend``, the tree compiled here into one
-    function that walks from the root to the node to expand and returns
-    the path it walked; ``__call__`` scores one child through
+    ``select`` calls ``descend``, the tree compiled by
+    :func:`compile_chooser` into one function that walks from the root
+    to the node to expand and returns the path it walked; ``__call__``
+    scores one child through
     :func:`~evomcts.expr.evaluate`, with the same bits.
     """
 

@@ -18,7 +18,7 @@ strategy can walk away from its best individual.
 
 An offspring's fitness evaluation scores a few hundred children, too
 few to repay a ``compile()``, so it walks the tree through closures
-(:func:`~evomcts.expr.scorer_descent`).  Only the best-of-run formula,
+(:func:`~evomcts.mcts.scorer_descent`).  Only the best-of-run formula,
 which then scores children for thousands of iterations, is compiled, by
 :class:`~evomcts.mcts.ExpressionPolicy`.  Both routes run the one set
 of operator statements in ``expr``, so they score bit for bit alike.
@@ -31,8 +31,15 @@ import random
 from dataclasses import dataclass
 from types import SimpleNamespace
 
-from .expr import Expression, mutate, scorer_descent, uct_seed
-from .mcts import ExpressionPolicy, check_count, create_root, run_iteration, run_search
+from .expr import Expression, mutate, uct_seed
+from .mcts import (
+    ExpressionPolicy,
+    check_count,
+    create_root,
+    run_iteration,
+    run_search,
+    scorer_descent,
+)
 
 __all__ = [
     "Individual",
@@ -100,7 +107,7 @@ def evaluate_individual(expression: Expression, env, sims: int, rng: random.Rand
     Works on a fresh root-only tree (building it draws no randomness)
     and discards the tree afterwards; only the reward trace survives.
     Semantics entry i is the rollout reward of iteration i, fitness is
-    their mean.  The formula's :func:`~evomcts.expr.scorer_descent`
+    their mean.  The formula's :func:`~evomcts.mcts.scorer_descent`
     walks the tree, compiling nothing: the same draws and rewards as a
     ``run_search`` of ``sims`` iterations with
     ``ExpressionPolicy(expression)``.

@@ -88,7 +88,7 @@ def interpret(expression, q, n_parent, n_child):
             return -1e300
         return r
 
-    return value(expression.root)
+    return value(expression)
 
 
 # ----------------------------------------------------------------------

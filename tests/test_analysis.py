@@ -17,7 +17,6 @@ from conftest import report_from_rows
 from evomcts.analysis import (
     HistogramReport,
     aggregate,
-    bin_centres,
     count_peaks,
     peak_mass,
     run_report,
@@ -71,38 +70,50 @@ class TestTertileSplit:
             tertile_split([], 0)
 
 
+def _binned(centres, bins):
+    """The counts ``run_report`` bins ``centres`` into, all logged in the
+    first tertile."""
+    report = run_report([(0, x) for x in centres], 3, bins, "cfg")
+    assert report.tertile_counts[1:] == [[0.0] * bins] * 2
+    return report.tertile_counts[0]
+
+
 class TestBinCentres:
+    """How ``run_report`` bins centres: floor(x * bins), x = 1.0 in the
+    last bin."""
+
     def test_single_centre(self):
-        counts = bin_centres([0.5], 100)
+        counts = _binned([0.5], 100)
         assert counts[50] == 1
         assert sum(counts) == 1
 
     def test_edge_values(self):
-        counts = bin_centres([0.0, 1.0], 100)
+        counts = _binned([0.0, 1.0], 100)
         assert counts[0] == 1 and counts[99] == 1
 
     def test_uniform_terminal_grid(self):
         ks = np.arange(2**17)
         centres = (2 * ks + 1) / 2.0**18
-        counts = bin_centres(centres, 100)
+        counts = _binned(centres.tolist(), 100)
         assert sum(counts) == 2**17
         assert np.all(np.abs(np.asarray(counts) - 2**17 / 100) <= 1.0)
 
     def test_empty_input(self):
-        assert bin_centres([], 10) == [0] * 10
+        assert _binned([], 10) == [0] * 10
 
     def test_single_bin(self):
-        assert bin_centres([0.0, 0.3, 1.0], 1) == [3]
+        assert _binned([0.0, 0.3, 1.0], 1) == [3]
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
-            bin_centres([1.2], 10)
+            _binned([1.2], 10)
         with pytest.raises(ValueError):
-            bin_centres([-0.1], 10)
+            _binned([-0.1], 10)
         with pytest.raises(ValueError, match="centres outside"):
-            bin_centres([0.3, float("nan")], 10)
-        with pytest.raises(ValueError):
-            bin_centres([0.5], 0)
+            _binned([0.3, float("nan")], 10)
+        for log in ([(0, 0.5)], []):
+            with pytest.raises(ValueError, match="bins must be >= 1"):
+                run_report(log, 3, 0, "cfg")
 
 
 class TestRunReportAndAggregate:

@@ -766,3 +766,38 @@ def test_one_worker_grid_loads_neither_numpy_nor_the_pool(tmp_path):
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.strip() == ""
     assert len(list((tmp_path / "out").glob("*.json"))) == 4
+
+
+_UCB1_GRID_THEN_SIEA = """
+import sys
+from evomcts import cli, expr
+built = [expr._operator_scorer.cache_info().currsize]
+argv = ["--functions", "f1,f2", "--agents", "uct:0.5,uct:3", "--runs", "2"]
+argv += ["--iterations", "60", "--bins", "10", "--out", sys.argv[1] + "/uct"]
+assert cli.main(argv) == 0
+built.append(expr._operator_scorer.cache_info().currsize)
+argv = ["--functions", "f1", "--agents", "siea", "--runs", "1", "--iterations", "40", "--bins", "10"]
+argv += ["--ea-generations", "2", "--ea-lambda", "2", "--ea-sims", "3", "--out", sys.argv[1] + "/siea"]
+assert cli.main(argv) == 0
+built.append(expr._operator_scorer.cache_info().currsize)
+print(*built)
+"""
+
+
+def test_ucb1_grid_builds_no_scorer_factory(tmp_path):
+    # expr compiles an operator's closure factory the first time a scorer
+    # needs it.  A fresh process that imports the CLI and runs a UCB1-only
+    # grid compiles none; an evolved run, which scores offspring through
+    # closures, then does.
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", _UCB1_GRID_THEN_SIEA, str(tmp_path)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={"PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    after_import, after_ucb1, after_siea = map(int, proc.stdout.split())
+    assert (after_import, after_ucb1) == (0, 0)
+    assert after_siea > 0

@@ -21,14 +21,13 @@ from evomcts.expr import (
     NodeContext,
     Var,
     build_scorer,
-    compile_chooser,
     evaluate,
     mutate,
     parse,
     random_subtree,
-    scorer_descent,
     uct_seed,
 )
+from evomcts.mcts import compile_chooser, scorer_descent
 
 ANY_CTX = NodeContext(0.5, 10.0, 5.0)
 
@@ -46,14 +45,14 @@ def _walk(node):
 
 
 def _const_values(expression):
-    return [n.value for n in _walk(expression.root) if type(n) is Const]
+    return [n.value for n in _walk(expression) if type(n) is Const]
 
 
 def _one_op(op, a, b=None):
     """``evaluate`` of ``(op Q)`` at Q = a, or of ``(op Q Nc)`` at Q = a
     and Nc = b: one protected operator, through the shipped route."""
     args = (Var("Q"),) if b is None else (Var("Q"), Var("Nc"))
-    return evaluate(Expression(Func(op, args)), NodeContext(a, 1.0, 1.0 if b is None else b))
+    return evaluate(Func(op, args), NodeContext(a, 1.0, 1.0 if b is None else b))
 
 
 class TestProtectedOperators:
@@ -83,15 +82,15 @@ class TestProtectedOperators:
 
 class TestEvaluate:
     def test_constant_leaf(self):
-        e = Expression(Const(math.sqrt(2.0)))
+        e = Const(math.sqrt(2.0))
         assert evaluate(e, ANY_CTX) == math.sqrt(2.0)
         assert evaluate(e, NodeContext(0.0, 1.0, 1.0)) == math.sqrt(2.0)
 
     def test_variable_leaves(self):
         ctx = NodeContext(0.25, 7.0, 3.0)
-        assert evaluate(Expression(Var("Q")), ctx) == 0.25
-        assert evaluate(Expression(Var("Np")), ctx) == 7.0
-        assert evaluate(Expression(Var("Nc")), ctx) == 3.0
+        assert evaluate(Var("Q"), ctx) == 0.25
+        assert evaluate(Var("Np"), ctx) == 7.0
+        assert evaluate(Var("Nc"), ctx) == 3.0
 
     def test_unknown_variable_rejected(self):
         with pytest.raises(ValueError):
@@ -117,10 +116,10 @@ class TestEvaluate:
 
     def test_protection_inside_tree(self):
         # div picks the fallback when the evaluated divisor is tiny.
-        e = Expression(Func("div", (Var("Np"), Var("Q"))))
+        e = Func("div", (Var("Np"), Var("Q")))
         assert evaluate(e, NodeContext(0.0, 5.0, 1.0)) == 1.0
         # log of a tiny subexpression falls back to 0.
-        e = Expression(Func("log", (Var("Q"),)))
+        e = Func("log", (Var("Q"),))
         assert evaluate(e, NodeContext(0.0, 5.0, 1.0)) == 0.0
 
     def test_deterministic(self):
@@ -129,6 +128,23 @@ class TestEvaluate:
             e = random_subtree(6, rng)
             ctx = NodeContext(rng.random(), 1.0 + rng.random() * 99, 1.0 + rng.random() * 9)
             assert evaluate(e, ctx) == evaluate(e, ctx)
+
+
+class TestNodes:
+    def test_every_tree_is_an_expression(self):
+        for text in ("Q", "(k 0.5)", "(log Np)", "(add Q (div (k 1.0) Nc))"):
+            assert isinstance(parse(text), Expression)
+        rng = random.Random(41)
+        for tree in (uct_seed(1.0), random_subtree(4, rng), mutate(uct_seed(1.0), rng)):
+            assert isinstance(tree, Expression)
+
+    def test_str_and_depth_on_bare_nodes(self):
+        assert (str(Var("Nc")), Var("Nc").depth()) == ("Nc", 1)
+        assert (str(Const(0.5)), Const(0.5).depth()) == ("(k 0.5)", 1)
+        node = Func("add", (Var("Q"), Func("log", (Const(2.0),))))
+        assert (str(node), node.depth()) == ("(add Q (log (k 2.0)))", 3)
+        # Every subtree is a tree of its own.
+        assert (str(node.args[1]), node.args[1].depth()) == ("(log (k 2.0))", 2)
 
 
 class TestUctSeed:
@@ -172,7 +188,7 @@ class TestRandomSubtree:
         rng = random.Random(11)
         for _ in range(500):
             e = random_subtree(1, rng)
-            assert type(e.root) in (Const, Var)
+            assert type(e) in (Const, Var)
             assert e.depth() == 1
 
     def test_depth_never_exceeds_budget(self):
@@ -190,7 +206,7 @@ class TestRandomSubtree:
         const_values = {}
         n = 100_000
         for _ in range(n):
-            root = random_subtree(1, rng).root
+            root = random_subtree(1, rng)
             if type(root) is Const:
                 counts["k"] += 1
                 const_values[root.value] = const_values.get(root.value, 0) + 1
@@ -235,20 +251,18 @@ def _pick_kind(seed, has_internal):
 
 class TestMutate:
     # add, mul, sqrt, div, log: exactly five internal nodes.
-    FIVE_INTERNAL = Expression(
-        Func(
-            "add",
-            (
-                Var("Q"),
-                Func(
-                    "mul",
-                    (
-                        Const(0.5),
-                        Func("sqrt", (Func("div", (Func("log", (Var("Np"),)), Var("Nc"))),)),
-                    ),
+    FIVE_INTERNAL = Func(
+        "add",
+        (
+            Var("Q"),
+            Func(
+                "mul",
+                (
+                    Const(0.5),
+                    Func("sqrt", (Func("div", (Func("log", (Var("Np"),)), Var("Nc"))),)),
                 ),
             ),
-        )
+        ),
     )
 
     def test_depth_cap_holds_over_trials(self):
@@ -260,6 +274,23 @@ class TestMutate:
                 deep.append(e)
         for i in range(10_000):
             assert mutate(deep[i % 50], rng).depth() <= 8
+
+    @pytest.mark.parametrize("depth", [DEFAULT_MAX_DEPTH + 1, 11])
+    def test_tree_deeper_than_cap_rejected_before_any_draw(self, depth):
+        # Whether such a tree failed used to depend on the draws: a point
+        # deep in the chain raised, one high in it gave a tree within the
+        # cap, and the Q leaf left the chain, deeper than the cap, as it was.
+        chain = Var("Np")
+        for _ in range(depth - 2):
+            chain = Func("sqrt", (chain,))
+        e = Func("add", (Var("Q"), chain))
+        assert e.depth() == depth
+        for seed in range(200):
+            rng = random.Random(seed)
+            state = rng.getstate()
+            with pytest.raises(ValueError, match=f"expression deeper than {DEFAULT_MAX_DEPTH}"):
+                mutate(e, rng)
+            assert rng.getstate() == state
 
     def test_input_not_modified(self):
         e = self.FIVE_INTERNAL
@@ -274,9 +305,9 @@ class TestMutate:
         rng = random.Random(23)
         changed = 0
         for _ in range(200):
-            out = mutate(Expression(Var("Q")), rng)
+            out = mutate(Var("Q"), rng)
             assert out.depth() <= DEFAULT_MAX_DEPTH
-            if out.root != Var("Q"):
+            if out != Var("Q"):
                 changed += 1
         assert changed > 100  # regrowing exactly Q is the rare case
 
@@ -295,10 +326,10 @@ class TestMutate:
             if kind != "leaf":
                 continue
             out = mutate(e, random.Random(seed))
-            diff = _diff_path(e.root, out.root)
+            diff = _diff_path(e, out)
             if diff is None:
                 continue  # replacement happened to regrow the same leaf
-            assert type(_node_at(e.root, diff)) is not Func
+            assert type(_node_at(e, diff)) is not Func
             checked += 1
         assert checked > 200
 
@@ -308,8 +339,8 @@ class TestMutate:
         internal_hits = 0
         for seed in range(2000):
             out = mutate(e, random.Random(seed))
-            diff = _diff_path(e.root, out.root)
-            if diff is not None and type(_node_at(e.root, diff)) is Func:
+            diff = _diff_path(e, out)
+            if diff is not None and type(_node_at(e, diff)) is Func:
                 internal_hits += 1
         assert internal_hits > 1000
 
@@ -336,12 +367,12 @@ class TestParseRoundTrip:
             assert str(parse(str(e))) == str(e)
 
     def test_full_precision_constants(self):
-        e = Expression(Const(math.sqrt(2.0)))
+        e = Const(math.sqrt(2.0))
         parsed = parse(str(e))
-        assert parsed.root.value == math.sqrt(2.0)
+        assert parsed.value == math.sqrt(2.0)
 
     def test_integer_constant_text_accepted(self):
-        assert parse("(k 2)") == Expression(Const(2.0))
+        assert parse("(k 2)") == Const(2.0)
 
     def test_parse_errors(self):
         for text in [
@@ -423,14 +454,13 @@ class TestTotalisation:
     @given(root=_trees, q=_finite, n_parent=_finite, n_child=_finite)
     @settings(max_examples=300)
     def test_every_tree_evaluates_finite(self, root, q, n_parent, n_child):
-        value = evaluate(Expression(root), NodeContext(q, n_parent, n_child))
+        value = evaluate(root, NodeContext(q, n_parent, n_child))
         assert math.isfinite(value)
 
     @given(root=_trees)
     @settings(max_examples=200)
     def test_round_trip_property(self, root):
-        e = Expression(root)
-        assert parse(str(e)) == e
+        assert parse(str(root)) == root
 
     @given(
         root=_trees,
@@ -439,18 +469,16 @@ class TestTotalisation:
     )
     @settings(max_examples=300)
     def test_chooser_matches_interpreter_ties(self, root, n_parent, children):
-        e = Expression(root)
-        want = _reference_ties(e, n_parent, children)
+        want = _reference_ties(root, n_parent, children)
         for build in DESCENT_BUILDERS:
-            assert_descent_picks(build(e), one_level_root(n_parent, children), want)
+            assert_descent_picks(build(root), one_level_root(n_parent, children), want)
 
     @given(root=_trees, q=_finite, n_parent=_finite, n_child=_finite)
     @settings(max_examples=300)
     def test_scorer_matches_interpreter_bits(self, root, q, n_parent, n_child):
-        e = Expression(root)
-        score = build_scorer(e)
+        score = build_scorer(root)
         for ctx in (NodeContext(q, n_parent, n_child), NodeContext(n_child, q, n_parent)):
-            got, want = score(*ctx), interpret(e, *ctx)
+            got, want = score(*ctx), interpret(root, *ctx)
             assert struct.pack("<d", got) == struct.pack("<d", want)
 
     @given(
@@ -464,8 +492,8 @@ class TestTotalisation:
         # Int visit counts too: evaluate converts them with float(), as
         # a descent does and the closures do not.  Ints up to 10^9 often
         # give the same bits unconverted, so the type is checked as well.
-        e = Expression(root)
-        got, want = evaluate(e, NodeContext(q, n_parent, n_child)), interpret(e, q, n_parent, n_child)
+        ctx = NodeContext(q, n_parent, n_child)
+        got, want = evaluate(root, ctx), interpret(root, q, n_parent, n_child)
         assert type(got) is float
         assert struct.pack("<d", got) == struct.pack("<d", want)
 
@@ -480,7 +508,7 @@ class TestTotalisation:
         # The operator once per child, on every (Q, Nc) pair: each pair of
         # children must come back in the interpreter's order, ties and
         # NaN (which loses every comparison) included.
-        e = Expression(Func(op, (Var("Q"), Var("Nc"))[:arity]))
+        e = Func(op, (Var("Q"), Var("Nc"))[:arity])
         pairs = [leaf(n, _Reward(q)) for q in edges for n in edges]
         for build in DESCENT_BUILDERS:
             descend = build(e)
@@ -493,9 +521,9 @@ class TestTotalisation:
         per_node = Func(op, (Var("Np"), Var("Np"))[:arity])
         for root in (Func(op, (Var("Q"), Var("Np"))[:arity]), Func("sub", (per_node, Var("Q")))):
             for build in DESCENT_BUILDERS:
-                descend = build(Expression(root))
+                descend = build(root)
                 for n_parent in edges:
-                    want = _reference_ties(Expression(root), n_parent, children)
+                    want = _reference_ties(root, n_parent, children)
                     assert_descent_picks(descend, one_level_root(n_parent, children), want)
 
     def test_chooser_on_deep_tree(self):
@@ -505,7 +533,7 @@ class TestTotalisation:
         children = [leaf(v, 0.0) for v in (3, 1, 3)]
         root = one_level_root(7, children)
         for build in DESCENT_BUILDERS:
-            assert_descent_picks(build(Expression(node)), root, [children[0], children[2]])
+            assert_descent_picks(build(node), root, [children[0], children[2]])
 
     def test_compiled_tree_deeper_than_parser_nesting(self):
         # One statement per node: a 300-deep chain would exceed the
@@ -518,8 +546,8 @@ class TestTotalisation:
         node = Var("Np")
         for _ in range(300):
             node = Func("sqrt", (node,))
-        e = Expression(Func("sub", (Var("Q"), Func("mul", (node, Var("Nc"))))))
-        assert interpret(Expression(node), 0.5, 7.0, 3.0) == 1.0
+        e = Func("sub", (Var("Q"), Func("mul", (node, Var("Nc")))))
+        assert interpret(node, 0.5, 7.0, 3.0) == 1.0
         children = [leaf(v, v * v) for v in (1, 2, 3)]
         want = _reference_ties(e, 7, children)
         assert want == children
@@ -532,7 +560,7 @@ class TestTotalisation:
         node = Var("Np")
         for _ in range(7):
             node = Func("mul", (node, node))
-        value = evaluate(Expression(node), NodeContext(0.5, 1e6, 1.0))
+        value = evaluate(node, NodeContext(0.5, 1e6, 1.0))
         assert math.isfinite(value)
         assert value == 1e300
 

@@ -17,9 +17,9 @@ from conftest import (
     interpret,
     tree_signature,
 )
-from evomcts import expr, mcts
+from evomcts import mcts
 from evomcts.bench import FunctionEnv, IntervalState, eval_function
-from evomcts.expr import K_VALUES, draw_index, parse, uct_seed
+from evomcts.expr import K_VALUES, parse, uct_seed
 from evomcts.mcts import (
     ExpressionPolicy,
     SearchNode,
@@ -27,10 +27,12 @@ from evomcts.mcts import (
     backpropagate,
     best_child,
     create_root,
+    draw_index,
     expand,
     rollout,
     run_iteration,
     run_search,
+    scorer_descent,
     select,
 )
 from evomcts.siea import EvolutionConfig, evaluate_individual, run_siea_search
@@ -122,10 +124,10 @@ class TestPolicies:
 
     def test_both_policies_descend_through_one_compiler(self):
         descents = [UctPolicy(1.0).descend, ExpressionPolicy(uct_seed(1.0)).descend]
-        descents.append(expr.scorer_descent(uct_seed(1.0)))
+        descents.append(scorer_descent(uct_seed(1.0)))
         assert [d.__code__.co_filename for d in descents] == ["<compiled descent>"] * 3
         # The scorer-built descents share one code object, compiled once.
-        assert descents[2].__code__ is expr.scorer_descent(parse("Q")).__code__
+        assert descents[2].__code__ is scorer_descent(parse("Q")).__code__
 
     def test_uct_descent_matches_generic_loop(self):
         # Equal statistics give exact ties; the hoisted 2*log(n_parent)
@@ -192,7 +194,6 @@ class TestPolicies:
             return draw_index(rng, n)
 
         monkeypatch.setattr(mcts, "draw_index", counted_draw)
-        monkeypatch.setattr(expr, "draw_index", counted_draw)
         descents = tied = multi_tied = 0
         for c in (0.5, math.sqrt(2.0), 3.0):
             policy = make_policy(c)
@@ -606,7 +607,7 @@ class TestNoReferenceCycles:
             lambda: ExpressionPolicy(parse("(add Q (div (k 1.0) Nc))")),
             lambda: run_search(
                 FunctionEnv("f2"),
-                SimpleNamespace(descend=expr.scorer_descent(uct_seed(1.0))),
+                SimpleNamespace(descend=scorer_descent(uct_seed(1.0))),
                 300,
                 random.Random(94),
             ),

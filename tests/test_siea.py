@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import tree_signature
-from evomcts import expr
+from evomcts import mcts
 from evomcts.bench import FunctionEnv
 from evomcts.expr import DEFAULT_MAX_DEPTH, parse, random_subtree, uct_seed
 from evomcts.mcts import ExpressionPolicy, run_search
@@ -408,13 +408,15 @@ class TestRunSieaSearch:
 
     def test_compiles_only_the_deployed_formula(self, monkeypatch):
         # Offspring are scored through closures; only the best-of-run
-        # formula is compiled, by its ExpressionPolicy.
+        # formula's descent is compiled, by its ExpressionPolicy.  (The
+        # closure factories expr compiles on first use are per operator,
+        # not per formula.)
         sources = []
 
         def counted_compile(source, *args, **kwargs):
             sources.append(source)
             return compile(source, *args, **kwargs)
 
-        monkeypatch.setattr(expr, "compile", counted_compile, raising=False)
+        monkeypatch.setattr(mcts, "compile", counted_compile, raising=False)
         run_siea_search(FunctionEnv("f1"), EvolutionConfig(**self.CFG), 20, random.Random(101))
         assert len(sources) == 1
