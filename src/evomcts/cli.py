@@ -9,8 +9,7 @@ Seeding: every run derives its own seed as the first 8 bytes of
 sha256("<base_seed>:<function>:<agent_label>:<run_index>"), so any
 single run can be reproduced in isolation and results do not depend on
 scheduling order or worker count.  A run's log header is the task its
-worker executes, so the header alone replays the run (with the EA
-settings for a siea run).
+worker executes, so the header alone replays the run.
 """
 
 from __future__ import annotations
@@ -158,17 +157,17 @@ def _uct_policy(c: float) -> UctPolicy:
     return UctPolicy(c)
 
 
-def _execute_run(task: tuple) -> tuple:
+def _execute_run(header: dict) -> tuple:
     """Run one search from its log header; plain data in and out (process-safe).
 
-    ``task`` is ``(header, ea, visit_bins)``: the run's ``{"type": "run"}``
-    log record, the EvolutionConfig fields of a siea run (None for uct),
-    and the bin count of the visit-weighted histogram (None for none).
+    ``header`` is the run's ``{"type": "run"}`` log record, and it holds
+    every setting the run reads: its ``ea`` holds the EvolutionConfig
+    fields of a siea run (None for uct), its ``visit_bins`` the bin count
+    of the visit-weighted histogram (None for none).
     Returns ``(records, visit_counts)``: the run's log records in order
     (header, generations and evolved formula for siea, expansions,
     summary) and the visit-weighted counts, or None.
     """
-    header, ea, visit_bins = task
     rng = random.Random(header["seed"])
     env = FunctionEnv(header["function"])
     records = [header]
@@ -176,7 +175,7 @@ def _execute_run(task: tuple) -> tuple:
         root, log = run_search(env, _uct_policy(header["c"]), header["iterations"], rng)
     else:
         root, log, best, history = run_siea_search(
-            env, EvolutionConfig(**ea), header["post_iterations"], rng
+            env, EvolutionConfig(**header["ea"]), header["post_iterations"], rng
         )
         records += [{"type": "generation", **record} for record in history]
         records.append({"type": "evolved", "expr": str(best.expression), "fitness": best.fitness})
@@ -192,9 +191,9 @@ def _execute_run(task: tuple) -> tuple:
             "best_child_centre": env.centre(best_child(root, rng).state),
         }
     )
-    if visit_bins is None:
+    if header["visit_bins"] is None:
         return records, None
-    return records, visit_weighted_counts(root, env, visit_bins)
+    return records, visit_weighted_counts(root, env, header["visit_bins"])
 
 
 @contextlib.contextmanager
@@ -235,32 +234,32 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     logs_dir.mkdir(parents=True, exist_ok=True)
 
     configs = [(function, agent) for function in cfg.functions for agent in cfg.agents]
-    visit_bins = cfg.bins if cfg.visit_weighted else None
-    tasks = []
-    for function, agent in configs:
-        siea = agent.kind == "siea"
-        for run_index in range(cfg.runs):
-            header = {
-                "type": "run",
-                "config_id": f"{function}_{agent.label}",
-                "function": function,
-                "agent": agent.label,
-                "kind": agent.kind,
-                "c": agent.c,
-                "seed": derive_run_seed(cfg.base_seed, function, agent.label, run_index),
-                "run_index": run_index,
-                "iterations": cfg.iterations,
-                "post_iterations": cfg.post_iterations if siea else None,
-            }
-            tasks.append((header, dataclasses.asdict(cfg.ea) if siea else None, visit_bins))
+    headers = [
+        {
+            "type": "run",
+            "config_id": f"{function}_{agent.label}",
+            "function": function,
+            "agent": agent.label,
+            "kind": agent.kind,
+            "c": agent.c,
+            "seed": derive_run_seed(cfg.base_seed, function, agent.label, run_index),
+            "run_index": run_index,
+            "iterations": cfg.iterations,
+            "post_iterations": cfg.post_iterations if agent.kind == "siea" else None,
+            "ea": dataclasses.asdict(cfg.ea) if agent.kind == "siea" else None,
+            "visit_bins": cfg.bins if cfg.visit_weighted else None,
+        }
+        for function, agent in configs
+        for run_index in range(cfg.runs)
+    ]
 
     started = time.monotonic()
     reports: dict = {}
-    with _pool(min(cfg.workers, len(tasks))) as pool:
-        # Both maps are lazy and yield in task order, which is grid order,
+    with _pool(min(cfg.workers, len(headers))) as pool:
+        # Both maps are lazy and yield in header order, which is grid order,
         # so each configuration takes the next cfg.runs results as they
         # are done.
-        results = map(_execute_run, tasks) if pool is None else pool.map(_execute_run, tasks)
+        results = map(_execute_run, headers) if pool is None else pool.map(_execute_run, headers)
         results = enumerate(results, 1)
         for function, agent in configs:
             cid = f"{function}_{agent.label}"
@@ -278,7 +277,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
                 if visit_counts is not None:
                     visit_rows.append(visit_counts)
                 print(
-                    f"[{k}/{len(tasks)}] {cid} run {header['run_index']} "
+                    f"[{k}/{len(headers)}] {cid} run {header['run_index']} "
                     f"({time.monotonic() - started:.1f}s elapsed)",
                     file=sys.stderr,
                 )
@@ -299,7 +298,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
             write_json(report, out_dir / f"{cid}.json", json_meta)
             write_plotdata(report, out_dir / f"{cid}.dat")
     print(
-        f"done: {len(tasks)} runs, {len(reports)} configs, "
+        f"done: {len(headers)} runs, {len(reports)} configs, "
         f"{time.monotonic() - started:.1f}s",
         file=sys.stderr,
     )

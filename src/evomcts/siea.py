@@ -79,10 +79,15 @@ class EvolutionConfig:
         check_count("lambda_", self.lambda_, 1)
         check_count("generations", self.generations, 0)
         check_count("sims_per_eval", self.sims_per_eval, 1)
+        # Both are in every siea run header: stored as floats, 5 logs as
+        # 5.0 does, and a bool is refused, not read as 0 or 1.
+        if isinstance(self.alpha, bool) or isinstance(self.beta, bool):
+            raise ValueError(f"alpha and beta must be numbers, got {self.alpha} and {self.beta}")
         # With alpha = -inf every gap to alpha is inf, so the semantic
         # branch would log a uniform pick among all tied offspring.
         if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
             raise ValueError(f"alpha and beta must be finite, got {self.alpha} and {self.beta}")
+        self.alpha, self.beta = float(self.alpha), float(self.beta)
         if not self.alpha < self.beta:
             raise ValueError("alpha must be < beta")
 

@@ -585,7 +585,9 @@ class TestExportBytes:
 
 
 # sha256 of every file the grid below writes, computed before the writers
-# read each report through ``tolist()``.
+# read each report through ``tolist()``.  The log entries were re-pinned
+# when the run header gained ``ea`` and ``visit_bins``; without those two
+# keys each log equals the one pinned before.
 GRID_SHA256 = {
     "f1_siea.csv": "c2267d5692876c717511a087ff3e25007bb7b25c1b526513e8bdd816171e46af",
     "f1_siea.dat": "c88767f6384ea1ff726c1fafd08886b9574ce3690935e77cdd2d6c9674b56f85",
@@ -605,18 +607,18 @@ GRID_SHA256 = {
     "f4_uct_c1.41421.csv": "f454c2e66828e9e645a6116b00f6562e6cf58e20f88cda9e7397e930e2a0bcc5",
     "f4_uct_c1.41421.dat": "db3dce46b6977d1da57d3a4c261b8eb57deb799d32f8cf645060f2d8f939b1df",
     "f4_uct_c1.41421.json": "42d5c30044daf9808191ba65f7f5344efcbdf79a0755cacf019d25ab43d45a09",
-    "logs/f1_siea_run000.jsonl": "b63a13ff1cf40d4a38fd390f94739b155e764434e3ac9a1997fcef3fc5fc7300",
-    "logs/f1_siea_run001.jsonl": "af14ebecae0808147b8751ab9a427838bc13e08f64d71ddc172e17c3188af54d",
-    "logs/f1_uct_c0.5_run000.jsonl": "c0c7aaa510ce6088d34ad9a82d23d6a9ebb3a77bd92e29f5cb845fec195bcfd1",
-    "logs/f1_uct_c0.5_run001.jsonl": "26e20b78698571d44986c613f249e334b1b45c4282df627dd39e60e92160ab1b",
-    "logs/f1_uct_c1.41421_run000.jsonl": "3cb26d81cf19da47dc0324462bec3e940212f6a96465b87a5c153ccdd8db51a4",
-    "logs/f1_uct_c1.41421_run001.jsonl": "ef760545bc58a105e41999776b142a63998591867585a26d178162b1035aa401",
-    "logs/f4_siea_run000.jsonl": "2488a3896b74958e221d5738d7a7d543f3ad479ca226ed36bff7f701fc53b265",
-    "logs/f4_siea_run001.jsonl": "64d5fd8de849cbda207e63ca10f2886200b1f09dbffeb31a9510edbfd5ba3878",
-    "logs/f4_uct_c0.5_run000.jsonl": "a4d8ca6893ac129dd39c1c18d521b786e24ee7f1b28c0dc896f80c9cd990ff31",
-    "logs/f4_uct_c0.5_run001.jsonl": "0ccf78d96283525626a1a3d36f947a83872863ab4685f4a76db732f834bc8d9c",
-    "logs/f4_uct_c1.41421_run000.jsonl": "0c1eccf39fdc56d6aaea7d504bceadd40af34240a934022dde7497e5083f4232",
-    "logs/f4_uct_c1.41421_run001.jsonl": "c17ed70aaaac3a4adae08997fc60bc4f6234d902309770c07954c58feb99aa97",
+    "logs/f1_siea_run000.jsonl": "e5f0fe9df8996d739fe911c8fdb9a6fa58e2003128023f9676add1a26f4a0e94",
+    "logs/f1_siea_run001.jsonl": "1a2e1fe6f2145aad4a3f4c309faea79f7d253a6996d74e859c48c23d44b39efa",
+    "logs/f1_uct_c0.5_run000.jsonl": "290865c22c13985fe1d14956cdc9aed7f9ece7b7a4ae2c295b5f05a2823d2222",
+    "logs/f1_uct_c0.5_run001.jsonl": "22ebe790ccb72dc2f1a4e886c2b7741898be732f4851ecc6a8e9d7f4f10b80fe",
+    "logs/f1_uct_c1.41421_run000.jsonl": "2adcc85635a4b85b70135e1cc2f55f3d4549abc90956d4f40f335e70de7d6305",
+    "logs/f1_uct_c1.41421_run001.jsonl": "0798cdbe09af840628f01e218703ca278555a51b94d17c2bf9d3e94f0afcac6a",
+    "logs/f4_siea_run000.jsonl": "fa4c16e40c83914e7ba7b411927e180c7d8935d7d6792284b4fc8b7c8354d392",
+    "logs/f4_siea_run001.jsonl": "0dc7a597a4d86f138f79bba25ad94c28ca9a44392b67b1789f1da02e7ac68f61",
+    "logs/f4_uct_c0.5_run000.jsonl": "63b2e32455323d5c7f1df5016d622fa94e07c544be3315416aa57009d7014877",
+    "logs/f4_uct_c0.5_run001.jsonl": "1621a253dff4e869692cbd5e922913b15e84766631747eebb48b816e57db330f",
+    "logs/f4_uct_c1.41421_run000.jsonl": "2117247a4386487a8fc1dd5abdba0e97ec41e7ad47f99d713151fdbb1133576a",
+    "logs/f4_uct_c1.41421_run001.jsonl": "c3aa90f53ed6e02a11ef9546bd8c568da8d32ff26c7756807fb3845007e3df70",
 }
 
 
@@ -636,17 +638,18 @@ def test_grid_files_unchanged(tmp_path):
 # sha256 of every log of a full-length grid: the default 5,000 iterations
 # and EA settings on all five functions, so descents reach depth 17 and
 # re-select terminal leaves, which the 150-iteration grid above never does.
+# Re-pinned with the grid above when the run header gained two keys.
 FULL_LENGTH_LOG_SHA256 = {
-    "f1_siea_run000.jsonl": "415461c781c585fe823c786c38211858b8da0fd12674e6a26c20c2180451d95a",
-    "f1_uct_c0.5_run000.jsonl": "bfe01b1b679d8a1d2536957b2269467bb6a6ba4ef2840fe3edd6bf9ed359df08",
-    "f2_siea_run000.jsonl": "3b2130216b96893fdd34388fc8d2e55326d60523e0d5b537647aee8de3403927",
-    "f2_uct_c0.5_run000.jsonl": "4edce2c24f50156eab4f5e82b5c73e296d0cb14471e957fb3e01f3127cfabe85",
-    "f3_siea_run000.jsonl": "9921bce286c60f5d1682403e74e8192107f7655616d135a162c83fb1fa6cd904",
-    "f3_uct_c0.5_run000.jsonl": "8d2d62fc0702a1254cbbf532ff77a8a544dc5742ce6e6d77a929f932b4e87813",
-    "f4_siea_run000.jsonl": "339dfadd80e41bbf68b91e2b3220f68245f4591539230dd33033ea4fb316f91b",
-    "f4_uct_c0.5_run000.jsonl": "2633596232e5e4cd0f0c565344dddb680836d755f2a2670eb65ae57ad4041a64",
-    "f5_siea_run000.jsonl": "1ae23771a0d92944d3973e6d5e3a7e139facd99627cea50581b2cd9e750256c0",
-    "f5_uct_c0.5_run000.jsonl": "7f4b7bc3ab0cf7976d7e1f7f53e0afca8069cc574126c3e16d6510ac1d9e1acc",
+    "f1_siea_run000.jsonl": "8d67b1b39db55aae4a03a9cde11926bd0c9ffb4b3418fb4baa94891f97710df2",
+    "f1_uct_c0.5_run000.jsonl": "ff317b123538c02c654f7f2c0ea6612320b3b5664be5e54a4426b6d4079481b1",
+    "f2_siea_run000.jsonl": "48afffb23b2711ba67beffad7ca6baa6e579e03646156bacc015ea7565bde2a7",
+    "f2_uct_c0.5_run000.jsonl": "9bda95eae62a1c40885eaab5e2ae3a13531ef8e7ad4565368d6fa41811f95ebe",
+    "f3_siea_run000.jsonl": "a6ee5db5b54192be4d4c9758bae77d9f91b962955aac13c77b55a1a7cf423949",
+    "f3_uct_c0.5_run000.jsonl": "6a0df333e7d6c24d643ce2feb73c52cbcf08876f683db3759931990f8641e8ee",
+    "f4_siea_run000.jsonl": "fa8ac36b8d51f5f0482eb0ec6ec56c290adb06e8d4ea12e1671fb1dfcbcf6a15",
+    "f4_uct_c0.5_run000.jsonl": "36e4fe94474865119a4ed3c4914edd590f826322194496cdb16bce24645ccc80",
+    "f5_siea_run000.jsonl": "5c2659c1950780fb0dc5623106f7a8e42042de9ccf54b61c36a10dd8deb651b2",
+    "f5_uct_c0.5_run000.jsonl": "7bded7624d1f7e906717822978fb1a30371789f9139a122491e406f36b000027",
 }
 
 

@@ -302,10 +302,10 @@ class TestRunExperiment:
     def test_failed_run_keeps_the_finished_configurations(self, tmp_path, monkeypatch):
         execute_run = cli._execute_run
 
-        def failing_run(task):
-            if task[0]["config_id"] == "f2_uct_c0.5":
+        def failing_run(header):
+            if header["config_id"] == "f2_uct_c0.5":
                 raise RuntimeError("run failed")
-            return execute_run(task)
+            return execute_run(header)
 
         monkeypatch.setattr(cli, "_execute_run", failing_run)
         agents = [AgentSpec("uct", 0.5), AgentSpec("uct", 1.0)]
@@ -403,28 +403,58 @@ class TestRunExperiment:
             rows = []
             for path in sorted((out / "logs").iterdir()):
                 header = json.loads(path.read_text().splitlines()[0])
-                rows.append(cli._execute_run((header, None, 50))[1])
+                assert header["visit_bins"] == 50
+                rows.append(cli._execute_run(header)[1])
             assert len(rows) == runs
             exact = [float(Fraction(sum(column), runs)) for column in zip(*rows)]
             assert payload["visit_weighted_mean"] == exact, runs
 
     def test_log_header_replays_the_run(self, tmp_path):
-        # The header is the task the worker ran: executing it again must
-        # give back the run's log byte for byte.
-        ea = EvolutionConfig(generations=2, lambda_=2, sims_per_eval=3)
+        # The header is the whole task the worker ran: executing it again,
+        # with nothing beside it, must give back the run's log byte for
+        # byte and the visit counts the export averaged.
+        ea = EvolutionConfig(generations=2, lambda_=2, sims_per_eval=3, alpha=0.1, beta=0.9)
         argv = ["--functions", "f1,f4", "--agents", "uct:1,siea", "--runs", "2"]
         argv += ["--iterations", "60", "--bins", "10", "--ea-generations", "2"]
-        argv += ["--ea-lambda", "2", "--ea-sims", "3", "--out", str(tmp_path)]
-        assert main(argv) == 0
-        logs = sorted((tmp_path / "logs").iterdir())
-        assert len(logs) == 8
-        for path in logs:
-            text = path.read_text()
-            header = json.loads(text.splitlines()[0])
-            ea_dict = dataclasses.asdict(ea) if header["kind"] == "siea" else None
-            records, visit_counts = cli._execute_run((header, ea_dict, None))
-            assert "".join(json.dumps(r, sort_keys=True) + "\n" for r in records) == text
-            assert visit_counts is None
+        argv += ["--ea-lambda", "2", "--ea-sims", "3", "--ea-alpha", "0.1", "--ea-beta", "0.9"]
+        for visit_weighted in (False, True):
+            out = tmp_path / f"visit_weighted_{visit_weighted}"
+            flags = ["--visit-weighted"] if visit_weighted else []
+            assert main([*argv, *flags, "--out", str(out)]) == 0
+            logs = sorted((out / "logs").iterdir())
+            assert len(logs) == 8
+            rows: dict = {}
+            for path in logs:
+                text = path.read_text()
+                header = json.loads(text.splitlines()[0])
+                siea = header["kind"] == "siea"
+                assert header["ea"] == (dataclasses.asdict(ea) if siea else None)
+                assert header["visit_bins"] == (10 if visit_weighted else None)
+                records, visit_counts = cli._execute_run(header)
+                assert "".join(json.dumps(r, sort_keys=True) + "\n" for r in records) == text
+                assert (visit_counts is not None) == visit_weighted
+                rows.setdefault(header["config_id"], []).append(visit_counts)
+            for cid, counts in rows.items():
+                payload = json.loads((out / f"{cid}.json").read_text())
+                if visit_weighted:
+                    exact = [float(Fraction(sum(column), len(counts))) for column in zip(*counts)]
+                    assert payload["visit_weighted_mean"] == exact, cid
+                else:
+                    assert "visit_weighted_mean" not in payload
+
+    def test_alpha_and_beta_log_alike_from_a_file_and_from_flags(self, tmp_path):
+        # A JSON 5 used to reach the header as 5 where --ea-alpha 5 gave 5.0.
+        argv = ["--functions", "f1", "--agents", "siea", "--runs", "1", "--iterations", "40"]
+        argv += ["--ea-generations", "2", "--ea-lambda", "2", "--ea-sims", "3"]
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"ea_alpha": 5, "ea_beta": 10}))
+        from_file, from_flags = tmp_path / "file", tmp_path / "flags"
+        assert main([*argv, "--config", str(cfg_path), "--out", str(from_file)]) == 0
+        assert main([*argv, "--ea-alpha", "5", "--ea-beta", "10", "--out", str(from_flags)]) == 0
+        log = "logs/f1_siea_run000.jsonl"
+        text = (from_file / log).read_bytes()
+        assert text == (from_flags / log).read_bytes()
+        assert b'"alpha": 5.0, "beta": 10.0' in text
 
 
 class TestMain:

@@ -276,6 +276,17 @@ class TestEvolutionConfig:
         with pytest.raises(ValueError, match="must be finite"):
             EvolutionConfig(alpha=alpha, beta=beta)
 
+    @pytest.mark.parametrize("alpha, beta", [(True, 10.0), (0.0, True), (False, 10.0)])
+    def test_bool_bounds_rejected(self, alpha, beta):
+        # alpha=True used to be accepted and read as 1.
+        with pytest.raises(ValueError, match="must be numbers"):
+            EvolutionConfig(alpha=alpha, beta=beta)
+
+    def test_bounds_stored_as_floats(self):
+        # Both are logged in every siea run header, so 5 must log as 5.0.
+        cfg = EvolutionConfig(alpha=5, beta=10)
+        assert type(cfg.alpha) is float and type(cfg.beta) is float
+
 
 class TestEvolve:
     def test_zero_generations_returns_seed(self):
