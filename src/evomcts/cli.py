@@ -18,6 +18,7 @@ import argparse
 import contextlib
 import dataclasses
 import functools
+import gc
 import hashlib
 import itertools
 import json
@@ -167,7 +168,21 @@ def _execute_run(header: dict) -> tuple:
     Returns ``(records, visit_counts)``: the run's log records in order
     (header, generations and evolved formula for siea, expansions,
     summary) and the visit-weighted counts, or None.
+
+    The cyclic collector is paused for the run, and on again afterwards
+    only if it was on, also when the run raises: a search builds no
+    reference cycle, yet each collection would walk every live node.
     """
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return _run_from_header(header)
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _run_from_header(header: dict) -> tuple:
     rng = random.Random(header["seed"])
     env = FunctionEnv(header["function"])
     records = [header]

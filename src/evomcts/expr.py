@@ -28,6 +28,27 @@ formula; :func:`evaluate` scores one edge context with it.  The closure
 factories, one per operator and kinds of operand, are compiled on first
 use, so a process that never builds a scorer compiles none.  This module
 knows nothing of the search tree.
+
+Both routes take an optional *domain*: a closed interval ``(lo, hi)``
+for each of ``Q``, ``Np`` and ``Nc``, the values a caller promises the
+statistics keep.  One range pass then walks the tree once, bounding
+every node's value, and keeps only the guards that some input in the
+domain could trigger.  It drops an operator's saturation when the
+unsaturated result lies within +-1e300, div's protected branch when the
+divisor's magnitude is at least 0.001 over its whole interval, log's
+and sqrt's ``abs`` when the operand cannot be negative, and log's zero
+guard when its operand's magnitude is at least 0.001.  On the domain the
+pruned statements give the full ones' bits; off it they need not.
+"Cannot be negative" excludes -0.0: ``sqrt(-0.0)`` is -0.0 where
+``sqrt(abs(-0.0))`` is 0.0, and ``-0.0 >= 0`` holds, so an interval
+whose value may be -0.0 keeps -0.0 or less as its lower end (a parsed
+``(k -0.0)`` has the interval [-0.0, -0.0]), and only a lower end of
++0.0 or more rules out a negative operand.  ``+ - * /`` and ``sqrt``
+round correctly, so the results at the operands' bounds bound every
+result; libm's ``log`` is not guaranteed to, so the bounds taken from it
+are widened by a relative margin of 1e-12.  An endpoint that comes out
+NaN leaves the interval unbounded.  Without a domain both routes give
+the full statements on every input.
 """
 
 from __future__ import annotations
@@ -181,34 +202,153 @@ _OP_CODE = {
     "log": ("{r} = abs({a})", f"{{r}} = 0.0 if {{r}} < {_PROTECT_EPS!r} else log({{r}})"),
     "sqrt": ("{r} = sqrt(abs({a}))",),
 }
+# The same operators with some guards dropped, by operator and the guards
+# kept: "abs" (the absolute value log and sqrt take), "protect" (the
+# 0.001 guard of div and log) and "saturate".  With every guard kept an
+# operator is its _OP_CODE statements, which are not repeated here.
+_PRUNED_CODE = {
+    ("add", ()): ("{r} = {a} + {b}",),
+    ("sub", ()): ("{r} = {a} - {b}",),
+    ("mul", ()): ("{r} = {a} * {b}",),
+    ("div", ("protect",)): (_OP_CODE["div"][0],),
+    ("div", ("saturate",)): ("{r} = {a} / {b}", _SATURATE),
+    ("div", ()): ("{r} = {a} / {b}",),
+    ("log", ("abs",)): ("{r} = log(abs({a}))",),
+    ("log", ("protect",)): (f"{{r}} = 0.0 if {{a}} < {_PROTECT_EPS!r} else log({{a}})",),
+    ("log", ()): ("{r} = log({a})",),
+    ("sqrt", ()): ("{r} = sqrt({a})",),
+}
 _VAR_CODE = {"Q": ("q", True), "Np": ("n_parent", False), "Nc": ("n_child", True)}
 
+# libm's log need not round correctly, so the range pass widens each
+# bound it takes from log by this share of its magnitude.
+_LOG_MARGIN = 1e-12
 
-def _emit(node, per_level: list, per_child: list, reads: set) -> tuple:
-    # Returns ``(operand, varies)``: the operand naming this node's value
-    # and whether it reads Q or Nc.
+
+def _statements(op: str, kept: tuple) -> tuple:
+    return _PRUNED_CODE.get((op, kept), _OP_CODE[op])
+
+
+def _check_domain(domain: dict) -> None:
+    for name in _VAR_NAMES:
+        lo, hi = domain[name]
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+            raise ValueError(f"domain of {name} must be a finite interval, got {(lo, hi)!r}")
+
+
+def _non_negative(span: tuple) -> bool:
+    # A span's low end is -0.0 or below whenever the value may be -0.0,
+    # so a clear sign bit there rules out -0.0 as well.
+    return math.copysign(1.0, span[0]) == 1.0
+
+
+def _span(values: list, negative_zero: bool) -> tuple:
+    # The span of results taken at the operands' bounds; a NaN there
+    # (inf * 0, inf - inf) leaves it unbounded.  A zero low end is -0.0
+    # when the result may be -0.0, else 0.0.
+    if any(v != v for v in values):
+        return (-math.inf, math.inf)
+    lo = min(values)
+    if lo == 0:
+        lo = -0.0 if negative_zero else 0.0
+    return lo, max(values)
+
+
+def _magnitude(span: tuple) -> tuple:
+    # The span of abs() over a span whose low end may be negative.
+    lo, hi = span
+    return (0.0, max(-lo, hi)) if hi >= 0 else (-hi, -lo)
+
+
+def _guarded(op: str, spans: list) -> tuple:
+    """``(statements, span)`` of operator ``op`` over operand values that
+    lie in ``spans``, each a ``(lo, hi)`` pair: the operator's
+    statements with only the guards some operand value could trigger,
+    and the span of its result.
+
+    ``+ - * /`` and ``sqrt`` round correctly and monotonically, so the
+    results at the operands' bounds bound every result; log's bounds are
+    widened by ``_LOG_MARGIN``.
+    """
+    a = spans[0]
+    if op in _UNARY_OPS:
+        kept = () if _non_negative(a) else ("abs",)
+        lo, hi = _magnitude(a) if kept else a
+        if op == "sqrt":
+            return _statements(op, kept), (math.sqrt(lo), math.sqrt(hi))
+        logs = []
+        if lo < _PROTECT_EPS:
+            kept += ("protect",)
+            logs.append(0.0)
+        if hi >= _PROTECT_EPS:
+            low, high = math.log(max(lo, _PROTECT_EPS)), math.log(hi)
+            logs += [low - abs(low) * _LOG_MARGIN, high + abs(high) * _LOG_MARGIN]
+        # log never gives -0.0, and log(1.0) is 0.0.
+        return _statements(op, kept), (min(logs), max(logs))
+    b = spans[1]
+    kept = ()
+    # A sum is -0.0 only when both terms are, a difference only when
+    # the first is -0.0 and the second 0.0.
+    if op == "add":
+        raw = _span([a[0] + b[0], a[1] + b[1]], not (_non_negative(a) or _non_negative(b)))
+    elif op == "sub":
+        raw = _span([a[0] - b[1], a[1] - b[0]], not _non_negative(a) and b[0] <= 0 <= b[1])
+    else:
+        # A product's or quotient's sign bit, a zero's included, is the
+        # exclusive or of its operands'.
+        negative_zero = (not _non_negative(a) and b[1] >= 0) or (not _non_negative(b) and a[1] >= 0)
+        if op == "mul":
+            raw = _span([x * y for x in a for y in b], negative_zero)
+        else:
+            # The divisors that divide lie on either side of the guard.
+            divisors = []
+            if b[0] <= -_PROTECT_EPS:
+                divisors += [b[0], min(b[1], -_PROTECT_EPS)]
+            if b[1] >= _PROTECT_EPS:
+                divisors += [max(b[0], _PROTECT_EPS), b[1]]
+            quotients = [x / y for x in a for y in divisors]
+            if b[0] < _PROTECT_EPS and b[1] > -_PROTECT_EPS:
+                kept = ("protect",)
+                quotients.append(1.0)
+            raw = _span(quotients, negative_zero)
+    if -_MAX_ABS <= raw[0] and raw[1] <= _MAX_ABS:
+        return _statements(op, kept), raw
+    kept += ("saturate",)
+    return _statements(op, kept), (max(raw[0], -_MAX_ABS), min(raw[1], _MAX_ABS))
+
+
+def _leaf_span(node, domain) -> tuple:
+    return (node.value, node.value) if type(node) is Const else domain[node.name]
+
+
+def _emit(node, domain, per_level: list, per_child: list, reads: set) -> tuple:
+    # Returns ``(operand, varies, span)``: the operand naming this node's
+    # value, whether it reads Q or Nc, and the span of its value over
+    # ``domain`` (None without a domain).
     kind = type(node)
-    if kind is Const:
-        return repr(node.value), False
-    if kind is Var:
+    if kind is not Func:
+        span = None if domain is None else _leaf_span(node, domain)
+        if kind is Const:
+            return repr(node.value), False, span
         reads.add(node.name)
-        return _VAR_CODE[node.name]
-    operands = []
+        return (*_VAR_CODE[node.name], span)
+    operands, spans = [], []
     varies = False
     for child in node.args:
-        operand, child_varies = _emit(child, per_level, per_child, reads)
+        operand, child_varies, span = _emit(child, domain, per_level, per_child, reads)
         operands.append(operand)
+        spans.append(span)
         varies = varies or child_varies
     name = f"t{len(per_level) + len(per_child)}"
-    code = _OP_CODE[node.op]
+    code, span = (_OP_CODE[node.op], None) if domain is None else _guarded(node.op, spans)
     b = operands[1] if len(operands) == 2 else None
     (per_child if varies else per_level).extend(
         line.format(r=name, a=operands[0], b=b) for line in code
     )
-    return name, varies
+    return name, varies, span
 
 
-def formula_code(expression: Expression) -> tuple:
+def formula_code(expression: Expression, domain: dict | None = None) -> tuple:
     """The tree as Python statements: ``(per_level, per_child, result, reads)``.
 
     Each operator is written inline as its ``_OP_CODE`` statements and
@@ -222,24 +362,33 @@ def formula_code(expression: Expression) -> tuple:
     that then gives the score, and ``reads`` the set of variable names
     (``"Q"``, ``"Np"``, ``"Nc"``) the tree reads.  Run so, the
     statements give the bits of :func:`evaluate`.
+
+    ``domain`` maps ``"Q"``, ``"Np"`` and ``"Nc"`` to finite closed
+    intervals ``(lo, hi)``.  With one, each operator keeps only the
+    guards that some input in the domain could trigger (see the module
+    docstring), and the statements give :func:`evaluate`'s bits on the
+    domain alone.  Without one they are the full statements.
     """
+    if domain is not None:
+        _check_domain(domain)
     per_level: list = []
     per_child: list = []
     reads: set = set()
-    result, _ = _emit(expression, per_level, per_child, reads)
+    result, _, _ = _emit(expression, domain, per_level, per_child, reads)
     return per_level, per_child, result, reads
 
 
 @functools.cache
-def _operator_scorer(op: str, *kinds: str):
-    # ``make(a[, b]) -> score`` for operator ``op`` over operands of
-    # ``kinds``, where ``score(q, n_parent, n_child)`` runs the
-    # operator's _OP_CODE lines, the ones formula_code writes inline.  A
-    # kind is a variable's name, read inline; "k", a constant passed to
-    # ``make``; or "f", a closure passed to ``make`` and called.  A
-    # closure operand read twice is called once, first; closures are
-    # pure, so the order of the calls changes no result.
-    code = _OP_CODE[op]
+def _operator_scorer(code: tuple, *kinds: str):
+    # ``make(a[, b]) -> score`` for an operator written as the statements
+    # ``code`` over operands of ``kinds``, where ``score(q, n_parent,
+    # n_child)`` runs those statements, the ones formula_code writes
+    # inline.  A kind is a variable's name, read inline; "k", a constant
+    # passed to ``make``; or "f", a closure passed to ``make`` and
+    # called.  A closure operand read twice is called once, first;
+    # closures are pure, so the order of the calls changes no result.
+    # Keyed by the statements, so an operator with guards dropped never
+    # shares a factory with the full one.
     args = ("a", "b")[: len(kinds)]
     lines = [f"def make({', '.join(args)}):", "    def score(q, n_parent, n_child):"]
     operands = {}
@@ -267,41 +416,48 @@ _VAR_SCORERS = {
 }
 
 
-def _scorer(func):
-    # The closure of an operator node: one frame per tree level, built
-    # and called.
-    kinds, made_with = [], []
+def _scorer(func, domain) -> tuple:
+    # ``(closure, span)`` of an operator node: one frame per tree level,
+    # built and called, and the span of its value as ``_emit`` takes it.
+    kinds, made_with, spans = [], [], []
     for child in func.args:
         kind = type(child)
         if kind is Func:
+            closure, span = _scorer(child, domain)
             kinds.append("f")
-            made_with.append(_scorer(child))
-        elif kind is Const:
-            kinds.append("k")
-            made_with.append(child.value)
+            made_with.append(closure)
         else:
-            kinds.append(child.name)
-            made_with.append(None)
-    return _operator_scorer(func.op, *kinds)(*made_with)
+            span = None if domain is None else _leaf_span(child, domain)
+            if kind is Const:
+                kinds.append("k")
+                made_with.append(child.value)
+            else:
+                kinds.append(child.name)
+                made_with.append(None)
+        spans.append(span)
+    code, span = (_OP_CODE[func.op], None) if domain is None else _guarded(func.op, spans)
+    return _operator_scorer(code, *kinds)(*made_with), span
 
 
-def build_scorer(expression: Expression):
+def build_scorer(expression: Expression, domain: dict | None = None):
     """Build ``score(q, n_parent, n_child)`` from the tree, compiling no formula.
 
     Each operator node is one closure that runs the statements
-    :func:`formula_code` writes inline for it, in the same order, so for
-    float ``n_parent`` and ``n_child`` a score has the bits of the
-    compiled formula's: NaN, -0.0, the 0.001 guards and the saturation
-    at +-1e300 take the same branches.  A variable or constant at the
-    root is returned as it is given.
+    :func:`formula_code` writes inline for it, with the same ``domain``,
+    in the same order, so for float ``n_parent`` and ``n_child`` a score
+    has the bits of the compiled formula's: NaN, -0.0, the 0.001 guards
+    and the saturation at +-1e300 take the same branches.  A variable or
+    constant at the root is returned as it is given.
     An operator reads a variable or constant operand inline and calls
     the closure of an operator operand.  The closures are made by one
-    factory per operator and kinds of operand, compiled the first time
-    any tree needs it and kept for the life of the process.
+    factory per operator's statements and kinds of operand, compiled the
+    first time any tree needs it and kept for the life of the process.
     """
+    if domain is not None:
+        _check_domain(domain)
     kind = type(expression)
     if kind is Func:
-        return _scorer(expression)
+        return _scorer(expression, domain)[0]
     if kind is Const:
         value = expression.value
         return lambda q, n_parent, n_child: value

@@ -29,15 +29,28 @@ exploration constant (:func:`compile_descent`), and
 :func:`~evomcts.expr.formula_code` writes for an expression tree
 (:func:`compile_chooser`).  A formula takes one of two routes to a
 ``descend``, by how often it will score.  :func:`compile_chooser` pays
-``compile()`` once, about 0.3 ms for an evolved formula (9.4 nodes on
-average), and a child then costs about 0.35 us: the route for a formula
+``compile()`` once, about 0.26 ms for an evolved formula (7.6 nodes on
+average), and a child then costs about 0.24 us: the route for a formula
 deployed for thousands of iterations.  :func:`scorer_descent` compiles
 no formula: it builds :func:`~evomcts.expr.build_scorer`'s closures, in
-about 4 us, and hands them to one copy of the skeleton, compiled at
-import; a child then costs about 0.7 us.  The two break even near 1,000
-scored children, and an offspring's 30-iteration fitness evaluation
-scores a few hundred, so ``siea`` takes the closure route.  Both give
-the same paths and RNG states, bit for bit.
+about 17 us, and hands them to one copy of the skeleton, compiled at
+import; a child then costs about 0.29 us.  The two break even near
+5,000 scored children, and an offspring's 30-iteration fitness
+evaluation scores a few hundred, so ``siea`` takes the closure route.
+Both give the same paths and RNG states, bit for bit.
+
+The search domain.  A child's mean reward is a mean of rewards in
+[0, 1], never -0.0, and a visit count is an int >= 1, exact as a float
+up to 2^53: :data:`SEARCH_DOMAIN`.  Each route takes a ``domain``, and
+the searches pass this one: :class:`ExpressionPolicy` compiles its tree
+over it, and ``siea`` builds each offspring's closures over it.  A
+formula so built keeps only the guards the search's statistics can
+trigger (:mod:`evomcts.expr` says which it drops, and why -0.0 and
+``log`` need care), so it gives the full formula's bits on the domain
+and need not off it; the UCB1 seed tree keeps no guard at all, and runs
+:class:`UctPolicy`'s operations in its order.  Without a domain both
+routes keep every guard and match :func:`~evomcts.expr.evaluate` on any
+float input.
 
 RNG protocol (all determinism and the trace tests rest on this): the
 engine draws from a single ``random.Random`` stream.  Every index pick
@@ -59,7 +72,13 @@ import random
 
 from .expr import Expression, NodeContext, build_scorer, evaluate, formula_code
 
+#: The values the search gives a formula's statistics.  ``Q`` is a mean
+#: of rewards in [0, 1], never -0.0, and the visit counts ``Np`` and
+#: ``Nc`` are at least 1 and exact as floats up to 2^53.
+SEARCH_DOMAIN = {"Q": (0.0, 1.0), "Np": (1.0, 2.0**53), "Nc": (1.0, 2.0**53)}
+
 __all__ = [
+    "SEARCH_DOMAIN",
     "SearchNode",
     "UctPolicy",
     "ExpressionPolicy",
@@ -201,7 +220,7 @@ def compile_descent(level_lines: list, child_lines: list, score: str):
     return _descent_factory(level_lines, child_lines, score)()
 
 
-def compile_chooser(expression: Expression):
+def compile_chooser(expression: Expression, domain: dict | None = None):
     """Build the search's ``descend(node, rng) -> path`` from the tree.
 
     The :func:`compile_descent` walk, scoring each child ``c`` bit for
@@ -212,8 +231,11 @@ def compile_chooser(expression: Expression):
     reads are fetched, and Np and Nc are converted with ``float()`` as
     ``evaluate`` does.  ``q`` divides by ``float(c.visits)`` when Nc is
     read too, which gives the same bits as dividing by the int.
+    ``domain`` goes to ``formula_code``: with :data:`SEARCH_DOMAIN` the
+    statements keep only the guards a search's statistics can trigger,
+    and the scores hold their bits for statistics in the domain alone.
     """
-    per_level, per_child, result, reads = formula_code(expression)
+    per_level, per_child, result, reads = formula_code(expression, domain)
     level_lines = ["n_parent = float(node.visits)"] if "Np" in reads else []
     child_lines = []
     if "Nc" in reads:
@@ -232,16 +254,16 @@ _make_scored_descent = _descent_factory(
 )
 
 
-def scorer_descent(expression: Expression):
+def scorer_descent(expression: Expression, domain: dict | None = None):
     """The search's ``descend(node, rng) -> path`` for the tree, compiling no formula.
 
     The :func:`_descent_factory` walk, compiled once, at import, around
     one :func:`~evomcts.expr.build_scorer` call per child: the same
-    paths and RNG state as :func:`compile_chooser`'s descent, at no
-    ``compile()`` cost, but with one Python call per operator node and
-    child.
+    paths and RNG state as :func:`compile_chooser`'s descent with the
+    same ``domain``, at no ``compile()`` cost, but with one Python call
+    per operator node and child.
     """
-    return _make_scored_descent(build_scorer(expression))
+    return _make_scored_descent(build_scorer(expression, domain))
 
 
 class UctPolicy:
@@ -279,12 +301,13 @@ class ExpressionPolicy:
     :func:`compile_chooser` into one function that walks from the root
     to the node to expand and returns the path it walked; ``__call__``
     scores one child through
-    :func:`~evomcts.expr.evaluate`, with the same bits.
+    :func:`~evomcts.expr.evaluate`, with the same bits on the search's
+    statistics: ``descend`` is compiled over :data:`SEARCH_DOMAIN`.
     """
 
     def __init__(self, expression: Expression):
         self.expression = expression
-        self.descend = compile_chooser(expression)
+        self.descend = compile_chooser(expression, SEARCH_DOMAIN)
 
     def __call__(self, q: float, n_parent: int, n_child: int) -> float:
         return evaluate(self.expression, NodeContext(q, n_parent, n_child))

@@ -21,7 +21,9 @@ few to repay a ``compile()``, so it walks the tree through closures
 (:func:`~evomcts.mcts.scorer_descent`).  Only the best-of-run formula,
 which then scores children for thousands of iterations, is compiled, by
 :class:`~evomcts.mcts.ExpressionPolicy`.  Both routes run the one set
-of operator statements in ``expr``, so they score bit for bit alike.
+of operator statements in ``expr``, with the guards that the search's
+statistics (:data:`~evomcts.mcts.SEARCH_DOMAIN`) cannot trigger dropped
+alike, so they score bit for bit alike.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from types import SimpleNamespace
 
 from .expr import Expression, mutate, uct_seed
 from .mcts import (
+    SEARCH_DOMAIN,
     ExpressionPolicy,
     check_count,
     create_root,
@@ -112,15 +115,15 @@ def evaluate_individual(expression: Expression, env, sims: int, rng: random.Rand
     Works on a fresh root-only tree (building it draws no randomness)
     and discards the tree afterwards; only the reward trace survives.
     Semantics entry i is the rollout reward of iteration i, fitness is
-    their mean.  The formula's :func:`~evomcts.mcts.scorer_descent`
-    walks the tree, compiling nothing: the same draws and rewards as a
-    ``run_search`` of ``sims`` iterations with
-    ``ExpressionPolicy(expression)``.
+    their mean.  The formula's :func:`~evomcts.mcts.scorer_descent`,
+    over the search's domain, walks the tree, compiling nothing: the
+    same draws and rewards as a ``run_search`` of ``sims`` iterations
+    with ``ExpressionPolicy(expression)``.
     """
     check_count("sims", sims, 1)
     tree = create_root(env)
     # A policy is whatever provides descend; nothing here calls it to score.
-    policy = SimpleNamespace(descend=scorer_descent(expression))
+    policy = SimpleNamespace(descend=scorer_descent(expression, SEARCH_DOMAIN))
     semantics = []
     for _ in range(sims):
         before = tree.total_reward

@@ -3,6 +3,7 @@ validation, output files, and cross-run/worker determinism."""
 
 import concurrent.futures
 import dataclasses
+import gc
 import json
 import math
 import random
@@ -455,6 +456,53 @@ class TestRunExperiment:
         text = (from_file / log).read_bytes()
         assert text == (from_flags / log).read_bytes()
         assert b'"alpha": 5.0, "beta": 10.0' in text
+
+
+class TestCollectorPause:
+    """A worker's run pauses the cyclic collector and leaves it as it found it."""
+
+    @pytest.fixture
+    def header(self, tmp_path):
+        argv = ["--functions", "f1", "--agents", "uct:1", "--runs", "1", "--iterations", "20"]
+        assert main([*argv, "--bins", "10", "--out", str(tmp_path)]) == 0
+        (log,) = (tmp_path / "logs").iterdir()
+        return json.loads(log.read_text().splitlines()[0])
+
+    @pytest.fixture(autouse=True)
+    def restore_collector(self):
+        yield
+        gc.enable()
+
+    def test_collector_off_during_the_run_and_on_after(self, header, monkeypatch):
+        seen = []
+
+        def spy(*args):
+            seen.append(gc.isenabled())
+            return run_search(*args)
+
+        monkeypatch.setattr(cli, "run_search", spy)
+        assert gc.isenabled()
+        cli._execute_run(header)
+        assert seen == [False]
+        assert gc.isenabled()
+
+    def test_collector_back_on_after_a_run_raises(self, header, monkeypatch):
+        def failing(*args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "run_search", failing)
+        with pytest.raises(RuntimeError, match="boom"):
+            cli._execute_run(header)
+        assert gc.isenabled()
+
+    def test_collector_stays_off_when_the_caller_turned_it_off(self, header, monkeypatch):
+        gc.disable()
+        cli._execute_run(header)
+        assert not gc.isenabled()
+        monkeypatch.setattr(cli, "run_search", lambda *args: 1 / 0)
+        with pytest.raises(ZeroDivisionError):
+            cli._execute_run(header)
+        assert not gc.isenabled()
 
 
 class TestMain:

@@ -22,12 +22,13 @@ from evomcts.expr import (
     Var,
     build_scorer,
     evaluate,
+    formula_code,
     mutate,
     parse,
     random_subtree,
     uct_seed,
 )
-from evomcts.mcts import compile_chooser, scorer_descent
+from evomcts.mcts import SEARCH_DOMAIN, compile_chooser, scorer_descent
 
 ANY_CTX = NodeContext(0.5, 10.0, 5.0)
 
@@ -578,3 +579,191 @@ def test_interpreter_shares_no_code_with_expr():
             continue
         for name in names:
             assert name != "evomcts.expr" and not name.startswith("evomcts.expr."), name
+
+
+# The statements every operator compiled to before the range pass, with
+# every guard: without a domain both routes must still write them.
+_FULL_STATEMENTS = {
+    "add": ["{r} = {a} + {b}", "{r} = 1e+300 if {r} > 1e+300 else -1e+300 if {r} < -1e+300 else {r}"],
+    "sub": ["{r} = {a} - {b}", "{r} = 1e+300 if {r} > 1e+300 else -1e+300 if {r} < -1e+300 else {r}"],
+    "mul": ["{r} = {a} * {b}", "{r} = 1e+300 if {r} > 1e+300 else -1e+300 if {r} < -1e+300 else {r}"],
+    "div": [
+        "{r} = 1.0 if abs({b}) < 0.001 else {a} / {b}",
+        "{r} = 1e+300 if {r} > 1e+300 else -1e+300 if {r} < -1e+300 else {r}",
+    ],
+    "log": ["{r} = abs({a})", "{r} = 0.0 if {r} < 0.001 else log({r})"],
+    "sqrt": ["{r} = sqrt(abs({a}))"],
+}
+
+# Constants next to the guards' thresholds, negative ones and -0.0, as
+# text: the trees below are parsed from it.
+_EDGE_CONSTANTS = [
+    "0.001", "0.0009999999999999998", "0.0010000000000000002", "-0.001",
+    "1e300", "9.999999999999999e299", "1.0000000000000002e300", "-1e300",
+    "0.0", "-0.0", "-1.0", "-0.5", "-3.0", "1e150", "-1e150", "1e-300",
+    "1.7976931348623157e308", "-1.7976931348623157e308",
+]
+_domain_trees = st.recursive(
+    st.one_of(_terminals, st.sampled_from(_EDGE_CONSTANTS).map(lambda v: parse(f"(k {v})"))),
+    lambda sub: st.one_of(
+        st.builds(lambda op, a: Func(op, (a,)), st.sampled_from(["log", "sqrt"]), sub),
+        st.builds(
+            lambda op, a, b: Func(op, (a, b)),
+            st.sampled_from(["add", "sub", "mul", "div"]),
+            sub,
+            sub,
+        ),
+    ),
+    max_leaves=25,
+).map(lambda tree: parse(str(tree)))
+# Visit counts as the search keeps them: ints from 1 to 2^53, and their floats.
+_counts = st.integers(min_value=1, max_value=2**53)
+_any_count = st.one_of(_counts, _counts.map(float))
+
+
+@st.composite
+def _mean(draw):
+    """An exact mean of rewards in [0, 1]: k / n for 0 <= k <= n."""
+    n = draw(_counts)
+    return draw(st.integers(min_value=0, max_value=n)) / n
+
+
+@st.composite
+def _search_children(draw):
+    """Children whose statistics the search could reach, from a small
+    pool, so that several often tie."""
+    pool = []
+    for _ in range(draw(st.integers(1, 3))):
+        n = draw(_any_count)
+        k = draw(st.integers(min_value=0, max_value=int(n)))
+        pool.append((n, float(k)))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=8))
+    return [leaf(*pool[i]) for i in picks]
+
+
+def _compiled_score(expression, domain=None):
+    """``score(q, n_parent, n_child)`` running ``formula_code``'s
+    statements, per-level part first, as a descent runs them."""
+    per_level, per_child, result, _ = formula_code(expression, domain)
+    body = "".join(f"    {line}\n" for line in per_level + per_child)
+    namespace = {"log": math.log, "sqrt": math.sqrt}
+    exec(f"def score(q, n_parent, n_child):\n{body}    return {result}\n", namespace)
+    return namespace["score"]
+
+
+def _power_of_np(squarings):
+    text = "Np"
+    for _ in range(squarings):
+        text = f"(mul {text} {text})"
+    return text
+
+
+def _bits(value):
+    return struct.pack("<d", value)
+
+
+class TestRangePass:
+    @pytest.mark.parametrize("op", sorted(_FULL_STATEMENTS))
+    def test_no_domain_writes_the_full_statements(self, op):
+        # Variable, constant and operator operands alike.
+        full = _FULL_STATEMENTS[op]
+        unary = op in ("log", "sqrt")
+        e = Func(op, (Var("Q"),) if unary else (Var("Q"), Var("Nc")))
+        want = [line.format(r="t0", a="q", b="n_child") for line in full]
+        assert formula_code(e) == ([], want, "t0", {"Q", "Nc"} - ({"Nc"} if unary else set()))
+        inner = Func("add", (Var("Np"), Const(2.0)))
+        e = Func(op, (inner,) if unary else (inner, Const(0.5)))
+        per_level, per_child, result, reads = formula_code(e)
+        inner_lines = [line.format(r="t0", a="n_parent", b="2.0") for line in _FULL_STATEMENTS["add"]]
+        outer = [line.format(r="t2", a="t0", b="0.5") for line in full]
+        assert (per_level, per_child, result, reads) == (inner_lines + outer, [], "t2", {"Np"})
+
+    @pytest.mark.parametrize("c", K_VALUES)
+    def test_ucb1_seed_keeps_no_guard(self, c):
+        # On the search's statistics the seed tree is UCB1's closed form,
+        # operation for operation.
+        per_level, per_child, result, reads = formula_code(uct_seed(c), SEARCH_DOMAIN)
+        assert per_level == ["t0 = log(n_parent)", "t1 = 2.0 * t0"]
+        assert per_child == ["t2 = t1 / n_child", "t3 = sqrt(t2)", f"t4 = {c!r} * t3", "t5 = q + t4"]
+        for line in per_level + per_child:
+            assert "abs" not in line and "0.001" not in line and "1e+300" not in line
+
+    @pytest.mark.parametrize(
+        "text, kept",
+        [
+            # Q can be 0: log keeps its zero guard, not its abs.
+            ("(log Q)", ["t0 = 0.0 if q < 0.001 else log(q)"]),
+            ("(log (sub Q (k 0.5)))", ["abs(t0)", "t1 < 0.001"]),
+            ("(sqrt (sub Q (k 0.5)))", ["sqrt(abs(t0))"]),
+            # -0.0 >= 0, yet sqrt(-0.0) is -0.0 and sqrt(abs(-0.0)) is 0.0.
+            ("(sqrt (k -0.0))", ["t0 = sqrt(abs(-0.0))"]),
+            ("(sqrt (mul (k -0.0) Q))", ["t1 = sqrt(abs(t0))"]),
+            ("(sqrt (add (k -0.0) (k -0.0)))", ["t1 = sqrt(abs(t0))"]),
+            ("(sqrt (sub (k -0.0) Q))", ["t1 = sqrt(abs(t0))"]),
+            ("(sqrt (add (k -0.0) Q))", ["t1 = sqrt(t0)"]),
+            # A divisor that can come near 0 keeps the protection; the
+            # quotient is then at most 1000 in magnitude, not saturated.
+            ("(div Q (sub Np Nc))", ["t1 = 1.0 if abs(t0) < 0.001 else q / t0"]),
+            # Every divisor is guarded: the result is 1.0, not saturated.
+            ("(div Nc (k 0.0009999999999999998))", ["abs(0.0009999999999999998) < 0.001"]),
+            ("(div (k 1e300) Q)", ["abs(q) < 0.001", "1e+300 if t0 > 1e+300"]),
+            ("(div Q (k 0.001))", ["t0 = q / 0.001"]),
+            # 1e300 + 1.0 rounds to 1e300, which the clamp leaves as it is.
+            ("(add Q (k 1e300))", ["t0 = q + 1e+300"]),
+            ("(add Q (k 1.0000000000000002e300))", ["1e+300 if t0 > 1e+300"]),
+            ("(sub (k -1e300) Q)", ["t0 = -1e+300 - q"]),
+            ("(sub (k -1.0000000000000002e300) Q)", ["-1e+300 if t0 < -1e+300"]),
+            # 2^53 to the 16th power is below 1e300, to the 32nd above.
+            (_power_of_np(4), ["t14 = t6 * t13"]),
+            (_power_of_np(5), ["t30 = t14 * t29", "1e+300 if t30 > 1e+300"]),
+        ],
+    )
+    def test_guards_kept_where_the_domain_reaches_them(self, text, kept):
+        per_level, per_child, _, _ = formula_code(parse(text), SEARCH_DOMAIN)
+        code = "\n".join(per_level + per_child)
+        for fragment in kept:
+            assert fragment in code, (fragment, code)
+        assert ("1e+300" in code) == any("1e+300" in fragment for fragment in kept)
+
+    @given(
+        root=_domain_trees,
+        q=_mean(),
+        n_parent=_any_count,
+        n_child=_any_count,
+        children=_search_children(),
+    )
+    @settings(max_examples=400)
+    def test_pruned_code_has_the_full_bits_on_the_search_domain(
+        self, root, q, n_parent, n_child, children
+    ):
+        stats = (q, float(n_parent), float(n_child))
+        want = _bits(interpret(root, *stats))
+        scores = [_compiled_score(root), _compiled_score(root, SEARCH_DOMAIN)]
+        scores += [build_scorer(root), build_scorer(root, SEARCH_DOMAIN)]
+        for score in scores:
+            assert _bits(score(*stats)) == want
+        ties = _reference_ties(root, n_parent, children)
+        for build in DESCENT_BUILDERS:
+            assert_descent_picks(build(root, SEARCH_DOMAIN), one_level_root(n_parent, children), ties)
+
+    def test_negative_zero_operand_keeps_its_abs(self):
+        for text in ("(sqrt (k -0.0))", "(log (k -0.0))", "(sqrt (mul (k -0.0) Q))"):
+            e = parse(text)
+            for score in (_compiled_score(e, SEARCH_DOMAIN), build_scorer(e, SEARCH_DOMAIN)):
+                assert _bits(score(0.0, 1.0, 1.0)) == _bits(0.0), text
+
+    def test_pruned_and_full_closures_share_no_factory(self):
+        e = uct_seed(1.0)
+        pruned, full = build_scorer(e, SEARCH_DOMAIN), build_scorer(e)
+        assert pruned.__code__ is not full.__code__
+        # The same statements share one factory.
+        assert build_scorer(uct_seed(2.0), SEARCH_DOMAIN).__code__ is pruned.__code__
+
+    @pytest.mark.parametrize(
+        "bounds", [(0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0), (2.0, 1.0)]
+    )
+    def test_domain_must_be_finite_intervals(self, bounds):
+        domain = {**SEARCH_DOMAIN, "Np": bounds}
+        for build in (formula_code, build_scorer, compile_chooser, scorer_descent):
+            with pytest.raises(ValueError, match="domain of Np"):
+                build(uct_seed(1.0), domain)

@@ -18,7 +18,8 @@ from conftest import (
     tree_signature,
 )
 from evomcts import mcts
-from evomcts.bench import FunctionEnv, IntervalState, eval_function
+from evomcts.bench import FUNCTION_IDS, FunctionEnv, IntervalState, eval_function
+from evomcts.cli import CANONICAL_C
 from evomcts.expr import K_VALUES, parse, uct_seed
 from evomcts.mcts import (
     ExpressionPolicy,
@@ -26,6 +27,7 @@ from evomcts.mcts import (
     UctPolicy,
     backpropagate,
     best_child,
+    compile_chooser,
     create_root,
     draw_index,
     expand,
@@ -114,6 +116,26 @@ class TestPolicies:
                 n_child = rng.randrange(1, n_parent + 1)
                 stats = (rng.random(), n_parent, n_child)
                 assert tree_policy(*stats) == closed(*stats)
+
+    @pytest.mark.parametrize("function_id", FUNCTION_IDS)
+    def test_ucb1_is_already_a_formula(self, function_id):
+        # The seed tree, compiled over the search's domain, runs a UCB1
+        # search exactly as the closed form does: the same expansions,
+        # tree and RNG state, for every canonical constant.
+        for c in CANONICAL_C:
+            for seed in (31, 32):
+                runs = []
+                for policy in (UctPolicy(c), ExpressionPolicy(uct_seed(c))):
+                    rng = random.Random(seed)
+                    root, log = run_search(FunctionEnv(function_id), policy, 1_000, rng)
+                    runs.append((log, tree_signature(root), rng.getstate()))
+                assert runs[0] == runs[1], (c, seed)
+
+    def test_expression_policy_compiles_over_the_search_domain(self):
+        # No guard is left to call abs() in the deployed seed formula.
+        names = ExpressionPolicy(uct_seed(1.0)).descend.__code__.co_names
+        assert "log" in names and "sqrt" in names and "abs" not in names
+        assert "abs" in compile_chooser(uct_seed(1.0)).__code__.co_names
 
     @pytest.mark.parametrize("c", [math.inf, -math.inf, math.nan])
     def test_uct_policy_rejects_non_finite_c(self, c):

@@ -10,10 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import tree_signature
-from evomcts import mcts
+from evomcts import mcts, siea
 from evomcts.bench import FunctionEnv
 from evomcts.expr import DEFAULT_MAX_DEPTH, parse, random_subtree, uct_seed
-from evomcts.mcts import ExpressionPolicy, run_search
+from evomcts.mcts import ExpressionPolicy, run_search, scorer_descent
 from evomcts.siea import (
     EvolutionConfig,
     Individual,
@@ -208,6 +208,17 @@ class TestEvaluateIndividual:
         with pytest.raises(ValueError, match="sims must be an integer"):
             evaluate_individual(uct_seed(1.0), env, sims, random.Random(90))
         assert env.reward_draws == 0
+
+    def test_offspring_scored_over_the_search_domain(self, monkeypatch):
+        domains = []
+
+        def spy(expression, domain=None):
+            domains.append(domain)
+            return scorer_descent(expression, domain)
+
+        monkeypatch.setattr(siea, "scorer_descent", spy)
+        evaluate_individual(uct_seed(1.0), FunctionEnv("f1"), 5, random.Random(93))
+        assert domains == [mcts.SEARCH_DOMAIN]
 
     @given(
         tree_seed=st.integers(0, 2**32 - 1),
