@@ -39,7 +39,7 @@ from .analysis import (
     write_plotdata,
 )
 from .bench import FUNCTION_IDS, FunctionEnv
-from .mcts import UctPolicy, best_child, check_count, run_search
+from .mcts import UctPolicy, best_child, check_count, check_uct_constant, run_search
 from .siea import EvolutionConfig, run_siea_search
 
 __all__ = [
@@ -70,10 +70,9 @@ class AgentSpec:
             # 1 logs as 1.0 does, and a bool is refused, not read as 0 or 1.
             if isinstance(self.c, bool):
                 raise ValueError(f"uct exploration constant must be a number, got {self.c}")
-            # An infinite or NaN c turns every UCB1 score into inf or NaN.
-            if not math.isfinite(self.c):
-                raise ValueError(f"uct exploration constant must be finite, got {self.c}")
-            object.__setattr__(self, "c", float(self.c))
+            # A c that is not finite, or that UCB1's formula would
+            # saturate, is refused here rather than by the first run.
+            object.__setattr__(self, "c", check_uct_constant(self.c))
         elif self.kind == "siea":
             if self.c is not None:
                 raise ValueError("siea agent takes no constant")
@@ -149,12 +148,9 @@ def derive_run_seed(base_seed: int, function_id: str, agent_label: str, run_inde
 
 @functools.lru_cache(maxsize=None)
 def _uct_policy(c: float) -> UctPolicy:
-    """One policy per constant and process, shared by its runs.
-
-    Building a policy compiles its descent, and a fresh function starts
-    unspecialised: built per run, they made 150-iteration UCB1 searches
-    about 17% slower.
-    """
+    """One policy per constant and process, shared by its runs: each
+    compiles its descent, and built per run they made 150-iteration UCB1
+    searches about 17% slower."""
     return UctPolicy(c)
 
 

@@ -2,53 +2,40 @@
 
 An expression is a small immutable tree over three statistics of a
 parent/child pair in the search tree (mean reward ``Q``, parent visit
-count ``Np``, child visit count ``Nc``) plus numeric constants.  The
-operator set is deliberately tiny and every operator is total: division,
-logarithm and square root are protected so that evaluation always yields
-a finite float, whatever the expression shape.  Every node, a ``Const``,
-a ``Var`` or a ``Func``, is an :class:`Expression`: the tree below it.
-
-Trees serialise to S-expressions, e.g. the classic UCB1 selection rule
-with exploration constant sqrt(2)::
+count ``Np``, child visit count ``Nc``) plus numeric constants.  Every
+operator is total: division, logarithm and square root are protected
+and binary results saturate at +-``MAX_ABS``, so a score is always a
+finite float.  Every node, a ``Const``, a ``Var`` or a ``Func``, is an
+:class:`Expression`: the tree below it.  Trees serialise to
+S-expressions, e.g. UCB1 with exploration constant sqrt(2)::
 
     (add Q (mul (k 1.4142135623730951) (sqrt (div (mul (k 2.0) (log Np)) Nc))))
 
 and :func:`parse` / ``str()`` round-trip exactly (constants are printed
-with ``repr`` so no precision is lost).
+with ``repr``).
 
 The operators' semantics are written once, as the statements of
-``_OP_CODE`` (protected division as ``1.0 if abs(b) < 0.001 else a /
-b``, protected log as ``0.0 if ax < 0.001 else log(ax)``, saturation as
-a conditional at +-1e300), and a tree is scored only through them, by
-one of two routes.  :func:`formula_code` writes a tree as those
-statements over ``q``, ``n_parent`` and ``n_child``, for ``mcts`` to
-compile into a search descent.  :func:`build_scorer` runs the same
-statements through closures, one per operator node, and compiles no
-formula; :func:`evaluate` scores one edge context with it.  The closure
-factories, one per operator and kinds of operand, are compiled on first
-use, so a process that never builds a scorer compiles none.  This module
-knows nothing of the search tree.
+``_OP_CODE``, and a tree is scored only through them, by one of two
+routes: :func:`formula_code` writes the tree as source, for ``mcts`` to
+compile into a search descent, and :func:`build_scorer` runs the same
+statements through closures, one per operator node, from factories
+compiled on first use.  This module knows nothing of the search tree.
 
 Both routes take an optional *domain*: a closed interval ``(lo, hi)``
-for each of ``Q``, ``Np`` and ``Nc``, the values a caller promises the
-statistics keep.  One range pass then walks the tree once, bounding
-every node's value, and keeps only the guards that some input in the
-domain could trigger.  It drops an operator's saturation when the
-unsaturated result lies within +-1e300, div's protected branch when the
-divisor's magnitude is at least 0.001 over its whole interval, log's
-and sqrt's ``abs`` when the operand cannot be negative, and log's zero
-guard when its operand's magnitude is at least 0.001.  On the domain the
-pruned statements give the full ones' bits; off it they need not.
-"Cannot be negative" excludes -0.0: ``sqrt(-0.0)`` is -0.0 where
-``sqrt(abs(-0.0))`` is 0.0, and ``-0.0 >= 0`` holds, so an interval
-whose value may be -0.0 keeps -0.0 or less as its lower end (a parsed
-``(k -0.0)`` has the interval [-0.0, -0.0]), and only a lower end of
-+0.0 or more rules out a negative operand.  ``+ - * /`` and ``sqrt``
-round correctly, so the results at the operands' bounds bound every
-result; libm's ``log`` is not guaranteed to, so the bounds taken from it
-are widened by a relative margin of 1e-12.  An endpoint that comes out
-NaN leaves the interval unbounded.  Without a domain both routes give
-the full statements on every input.
+for each statistic, the values a caller promises it keeps.  One range
+pass then bounds every node's value and keeps only the guards some input
+in the domain could trigger: an operator's saturation unless its result
+lies within +-MAX_ABS, div's protection unless the divisor's magnitude
+is at least 0.001, log's and sqrt's ``abs`` unless the operand cannot be
+negative, and log's zero guard unless the operand's magnitude is at
+least 0.001.  On the domain the pruned statements give the full ones'
+bits.  "Cannot be negative" excludes -0.0, since ``sqrt(-0.0)`` is -0.0
+where ``sqrt(abs(-0.0))`` is 0.0: an interval whose value may be -0.0
+keeps -0.0 or less as its lower end (a parsed ``(k -0.0)`` has
+[-0.0, -0.0]).  ``+ - * /`` and ``sqrt`` round correctly, so the results
+at the operands' bounds bound every result; libm's ``log`` need not, so
+its bounds are widened by a relative 1e-12.  An endpoint that comes out
+NaN leaves the interval unbounded.
 """
 
 from __future__ import annotations
@@ -67,8 +54,10 @@ __all__ = [
     "Func",
     "K_VALUES",
     "DEFAULT_MAX_DEPTH",
+    "MAX_ABS",
     "evaluate",
     "formula_code",
+    "value_range",
     "build_scorer",
     "uct_seed",
     "random_subtree",
@@ -86,9 +75,9 @@ DEFAULT_MAX_DEPTH = 8
 # fallbacks of div and log.
 _PROTECT_EPS = 1e-3
 
-# Binary operator results saturate here so that towers of mul/add can
-# never overflow to infinity; keeps evaluation total over float64.
-_MAX_ABS = 1e300
+#: Binary operator results saturate here, so that towers of mul/add can
+#: never overflow to infinity: evaluation stays total over float64.
+MAX_ABS = 1e300
 
 _VAR_NAMES = ("Q", "Np", "Nc")
 _BINARY_OPS = ("add", "sub", "mul", "div")
@@ -97,12 +86,8 @@ _OP_NAMES = _BINARY_OPS + _UNARY_OPS
 
 
 class NodeContext(NamedTuple):
-    """Statistics of one parent/child edge, as seen by a selection formula.
-
-    ``q`` is the child's mean rollout reward (in [0, 1] once visited),
-    ``n_parent`` the parent's visit count (>= 1) and ``n_child`` the
-    child's visit count (>= 1: a child is scored only once visited).
-    """
+    """Statistics of one parent/child edge: the child's mean reward and
+    the parent's and the child's visit counts."""
 
     q: float
     n_parent: float
@@ -183,16 +168,14 @@ class Func(Expression):
         out.append(")")
 
 
-# Compiled formulas write every operator inline, as the statements below
-# (``{r}`` the result, ``{a}``/``{b}`` the operands), and scorer closures
-# run the same statements, so both routes take the same branch on every
-# input.  The comparisons are written so that NaN fails each of them: a
-# NaN divisor divides and a NaN result passes the saturation unchanged.
-# Saturation is one conditional expression rather than an if/elif
-# statement: the same tests, but cheaper to compile.
+# Each operator as statements (``{r}`` the result, ``{a}``/``{b}`` the
+# operands), which both routes run, so they take the same branch on every
+# input.  NaN fails every comparison: a NaN divisor divides and a NaN
+# result passes the saturation unchanged.  Saturation is one conditional
+# expression, not an if/elif statement: the same tests, cheaper to compile.
 _SATURATE = (
-    f"{{r}} = {_MAX_ABS!r} if {{r}} > {_MAX_ABS!r} "
-    f"else {-_MAX_ABS!r} if {{r}} < {-_MAX_ABS!r} else {{r}}"
+    f"{{r}} = {MAX_ABS!r} if {{r}} > {MAX_ABS!r} "
+    f"else {-MAX_ABS!r} if {{r}} < {-MAX_ABS!r} else {{r}}"
 )
 _OP_CODE = {
     "add": ("{r} = {a} + {b}", _SATURATE),
@@ -202,10 +185,9 @@ _OP_CODE = {
     "log": ("{r} = abs({a})", f"{{r}} = 0.0 if {{r}} < {_PROTECT_EPS!r} else log({{r}})"),
     "sqrt": ("{r} = sqrt(abs({a}))",),
 }
-# The same operators with some guards dropped, by operator and the guards
-# kept: "abs" (the absolute value log and sqrt take), "protect" (the
-# 0.001 guard of div and log) and "saturate".  With every guard kept an
-# operator is its _OP_CODE statements, which are not repeated here.
+# The operators with only some guards kept, by operator and guards kept:
+# "abs" (of log's and sqrt's operand), "protect" (div's and log's 0.001
+# guard) and "saturate".  With all of them kept an operator is _OP_CODE's.
 _PRUNED_CODE = {
     ("add", ()): ("{r} = {a} + {b}",),
     ("sub", ()): ("{r} = {a} - {b}",),
@@ -261,21 +243,15 @@ def _magnitude(span: tuple) -> tuple:
 
 
 def _guarded(op: str, spans: list) -> tuple:
-    """``(statements, span)`` of operator ``op`` over operand values that
-    lie in ``spans``, each a ``(lo, hi)`` pair: the operator's
-    statements with only the guards some operand value could trigger,
-    and the span of its result.
-
-    ``+ - * /`` and ``sqrt`` round correctly and monotonically, so the
-    results at the operands' bounds bound every result; log's bounds are
-    widened by ``_LOG_MARGIN``.
-    """
+    """``(kept, span)`` of operator ``op`` over operands in ``spans``,
+    each a ``(lo, hi)`` pair: the guards some operand value could
+    trigger, as in ``_PRUNED_CODE``'s keys, and the span of the result."""
     a = spans[0]
     if op in _UNARY_OPS:
         kept = () if _non_negative(a) else ("abs",)
         lo, hi = _magnitude(a) if kept else a
         if op == "sqrt":
-            return _statements(op, kept), (math.sqrt(lo), math.sqrt(hi))
+            return kept, (math.sqrt(lo), math.sqrt(hi))
         logs = []
         if lo < _PROTECT_EPS:
             kept += ("protect",)
@@ -284,7 +260,7 @@ def _guarded(op: str, spans: list) -> tuple:
             low, high = math.log(max(lo, _PROTECT_EPS)), math.log(hi)
             logs += [low - abs(low) * _LOG_MARGIN, high + abs(high) * _LOG_MARGIN]
         # log never gives -0.0, and log(1.0) is 0.0.
-        return _statements(op, kept), (min(logs), max(logs))
+        return kept, (min(logs), max(logs))
     b = spans[1]
     kept = ()
     # A sum is -0.0 only when both terms are, a difference only when
@@ -311,84 +287,120 @@ def _guarded(op: str, spans: list) -> tuple:
                 kept = ("protect",)
                 quotients.append(1.0)
             raw = _span(quotients, negative_zero)
-    if -_MAX_ABS <= raw[0] and raw[1] <= _MAX_ABS:
-        return _statements(op, kept), raw
-    kept += ("saturate",)
-    return _statements(op, kept), (max(raw[0], -_MAX_ABS), min(raw[1], _MAX_ABS))
+    if -MAX_ABS <= raw[0] and raw[1] <= MAX_ABS:
+        return kept, raw
+    return kept + ("saturate",), (max(raw[0], -MAX_ABS), min(raw[1], MAX_ABS))
 
 
 def _leaf_span(node, domain) -> tuple:
     return (node.value, node.value) if type(node) is Const else domain[node.name]
 
 
-def _emit(node, domain, per_level: list, per_child: list, reads: set) -> tuple:
-    # Returns ``(operand, varies, span)``: the operand naming this node's
-    # value, whether it reads Q or Nc, and the span of its value over
-    # ``domain`` (None without a domain).
+def _operator(op: str, spans: list, domain) -> tuple:
+    # ``(statements, inline, span)``: the full statements without a
+    # domain, else those the range pass keeps, inline when it keeps none.
+    if domain is None:
+        return _OP_CODE[op], False, None
+    kept, span = _guarded(op, spans)
+    return _statements(op, kept), not kept, span
+
+
+# Inline operators nest at most this deep before their value is named,
+# far inside the parser's limits on nested parentheses and calls.
+_MAX_NESTING = 16
+
+
+def _name(code, varies: bool, per_level: list, per_child: list, **operands) -> str:
+    # Writes the statements ``code`` with a fresh name as ``{r}``.
+    name = f"t{len(per_level) + len(per_child)}"
+    (per_child if varies else per_level).extend(line.format(r=name, **operands) for line in code)
+    return name
+
+
+def _emit(node, domain, per_level: list, per_child: list, reads: dict) -> tuple:
+    # ``(operand, varies, span, nesting)``: the text of the node's value,
+    # whether it reads Q or Nc, its span over ``domain`` (None without
+    # one) and how deep an inline operator's text nests (else 0).  Binary
+    # parents wrap a binary operator's inline text in parentheses.
     kind = type(node)
     if kind is not Func:
         span = None if domain is None else _leaf_span(node, domain)
         if kind is Const:
-            return repr(node.value), False, span
-        reads.add(node.name)
-        return (*_VAR_CODE[node.name], span)
-    operands, spans = [], []
-    varies = False
-    for child in node.args:
-        operand, child_varies, span = _emit(child, domain, per_level, per_child, reads)
-        operands.append(operand)
-        spans.append(span)
-        varies = varies or child_varies
-    name = f"t{len(per_level) + len(per_child)}"
-    code, span = (_OP_CODE[node.op], None) if domain is None else _guarded(node.op, spans)
-    b = operands[1] if len(operands) == 2 else None
-    (per_child if varies else per_level).extend(
-        line.format(r=name, a=operands[0], b=b) for line in code
-    )
-    return name, varies, span
+            return repr(node.value), False, span, 0
+        return (*_VAR_CODE[node.name], span, 0)
+    emitted = [_emit(child, domain, per_level, per_child, reads) for child in node.args]
+    varies = any(child_varies for _, child_varies, _, _ in emitted)
+    code, inline, span = _operator(node.op, [e[2] for e in emitted], domain)
+    operands, nesting = {}, 0
+    for x, child, (operand, child_varies, _, depth) in zip("ab", node.args, emitted):
+        uses = 1 if inline else "".join(code).count(f"{{{x}}}")
+        if type(child) is Var:
+            reads.setdefault(child.name, []).extend([node.op] * uses)
+        # An operand read twice, or a per-level value read per child,
+        # is named once.
+        if depth and (uses > 1 or (varies and not child_varies)):
+            operand, depth = _name([f"{{r}} = {operand}"], child_varies, per_level, per_child), 0
+        if depth and node.op in _BINARY_OPS and child.op in _BINARY_OPS:
+            operand = f"({operand})"
+        operands[x] = operand
+        nesting = max(nesting, depth)
+    if inline and nesting + 1 < _MAX_NESTING:
+        return code[0].removeprefix("{r} = ").format(**operands), varies, span, nesting + 1
+    return _name(code, varies, per_level, per_child, **operands), varies, span, 0
 
 
 def formula_code(expression: Expression, domain: dict | None = None) -> tuple:
     """The tree as Python statements: ``(per_level, per_child, result, reads)``.
 
-    Each operator is written inline as its ``_OP_CODE`` statements and
-    assigns a fresh name, so no tree is too deep for the compiler.  The
-    statements read the statistics as the floats ``q``, ``n_parent`` and
-    ``n_child``, may call ``log`` and ``sqrt``, and write constants with
-    ``repr`` (exact for the finite floats ``Const`` admits).
-    ``per_level`` holds the operators whose subtree reads only Np and
-    constants, so a caller can run them once per parent; ``per_child``
-    holds the rest and runs after them.  ``result`` is the expression
-    that then gives the score, and ``reads`` the set of variable names
-    (``"Q"``, ``"Np"``, ``"Nc"``) the tree reads.  Run so, the
-    statements give the bits of :func:`evaluate`.
+    The statements read the statistics as ``q``, ``n_parent`` and
+    ``n_child`` and may call ``log`` and ``sqrt``.  ``per_level`` holds
+    those whose values read only Np and constants, for a caller to run
+    once per parent; ``per_child`` runs after them, and the name,
+    variable or constant ``result`` then gives the score.  ``reads`` maps
+    each statistic read (``"Q"``, ``"Np"``, ``"Nc"``) to the operators
+    reading it, one per read in the statements, or to ``[None]`` when it
+    is ``result``.  With float statistics the statements give
+    :func:`evaluate`'s bits.
 
-    ``domain`` maps ``"Q"``, ``"Np"`` and ``"Nc"`` to finite closed
-    intervals ``(lo, hi)``.  With one, each operator keeps only the
-    guards that some input in the domain could trigger (see the module
-    docstring), and the statements give :func:`evaluate`'s bits on the
-    domain alone.  Without one they are the full statements.
+    Without a domain each operator is its ``_OP_CODE`` statements,
+    assigned to a fresh name.  With ``domain``, a finite ``(lo, hi)`` per
+    statistic, each keeps only the guards some input in it could
+    trigger, and gives :func:`evaluate`'s bits there alone; an operator
+    that keeps no guard is written inline, inside its parent.  Four kinds
+    of value are named: an operator that keeps a guard; an operand that a
+    guarded statement reads twice (div's divisor, and log's operand when
+    only its 0.001 guard stays); a per-level value read per child, so it
+    is still computed once per parent; and an inline chain 16 operators
+    deep, within the parser's nesting limits.  An inline result is named
+    too, as a descent reads the score more than once.
     """
     if domain is not None:
         _check_domain(domain)
-    per_level: list = []
-    per_child: list = []
-    reads: set = set()
-    result, _, _ = _emit(expression, domain, per_level, per_child, reads)
+    per_level, per_child, reads = [], [], {}
+    result, varies, _, nesting = _emit(expression, domain, per_level, per_child, reads)
+    if nesting:
+        result = _name([f"{{r}} = {result}"], varies, per_level, per_child)
+    elif type(expression) is Var:
+        reads[expression.name] = [None]
     return per_level, per_child, result, reads
+
+
+def value_range(expression: Expression, domain: dict) -> tuple:
+    """``(lo, hi)``: the range pass's bounds on the tree's value over
+    ``domain``, which maps ``"Q"``, ``"Np"`` and ``"Nc"`` to finite
+    closed intervals."""
+    _check_domain(domain)
+    return _emit(expression, domain, [], [], {})[2]
 
 
 @functools.cache
 def _operator_scorer(code: tuple, *kinds: str):
-    # ``make(a[, b]) -> score`` for an operator written as the statements
-    # ``code`` over operands of ``kinds``, where ``score(q, n_parent,
-    # n_child)`` runs those statements, the ones formula_code writes
-    # inline.  A kind is a variable's name, read inline; "k", a constant
-    # passed to ``make``; or "f", a closure passed to ``make`` and
-    # called.  A closure operand read twice is called once, first;
-    # closures are pure, so the order of the calls changes no result.
-    # Keyed by the statements, so an operator with guards dropped never
-    # shares a factory with the full one.
+    # ``make(a[, b]) -> score``, where ``score(q, n_parent, n_child)``
+    # runs the statements ``code`` over operands of ``kinds``: a
+    # variable's name, read inline; "k", a constant passed to ``make``; or
+    # "f", a closure passed to ``make`` and called, once and first when it
+    # is read twice (closures are pure).  Keyed by the statements, so a
+    # pruned operator never shares a factory with the full one.
     args = ("a", "b")[: len(kinds)]
     lines = [f"def make({', '.join(args)}):", "    def score(q, n_parent, n_child):"]
     operands = {}
@@ -435,7 +447,7 @@ def _scorer(func, domain) -> tuple:
                 kinds.append(child.name)
                 made_with.append(None)
         spans.append(span)
-    code, span = (_OP_CODE[func.op], None) if domain is None else _guarded(func.op, spans)
+    code, _, span = _operator(func.op, spans, domain)
     return _operator_scorer(code, *kinds)(*made_with), span
 
 
@@ -443,15 +455,12 @@ def build_scorer(expression: Expression, domain: dict | None = None):
     """Build ``score(q, n_parent, n_child)`` from the tree, compiling no formula.
 
     Each operator node is one closure that runs the statements
-    :func:`formula_code` writes inline for it, with the same ``domain``,
-    in the same order, so for float ``n_parent`` and ``n_child`` a score
-    has the bits of the compiled formula's: NaN, -0.0, the 0.001 guards
-    and the saturation at +-1e300 take the same branches.  A variable or
-    constant at the root is returned as it is given.
-    An operator reads a variable or constant operand inline and calls
-    the closure of an operator operand.  The closures are made by one
-    factory per operator's statements and kinds of operand, compiled the
-    first time any tree needs it and kept for the life of the process.
+    :func:`formula_code` writes for it with the same ``domain``, reading
+    a variable or constant operand inline and calling an operator
+    operand's closure, so for float counts a score has the bits of the
+    compiled formula's.  A variable or constant at the root is returned
+    as it is given.  The closure factories, one per operator's statements
+    and kinds of operand, are compiled on first use and kept.
     """
     if domain is not None:
         _check_domain(domain)
@@ -465,14 +474,10 @@ def build_scorer(expression: Expression, domain: dict | None = None):
 
 
 def evaluate(expression: Expression, ctx: NodeContext) -> float:
-    """Score the tree on one edge context.
-
-    The bits ``build_scorer(expression)`` returns for ``ctx.q`` and the
-    two visit counts as floats, as a descent converts them.  Total over
-    finite inputs: the protected operators and the saturation of the
-    binary operators at +-1e300 give a finite float for every expression
-    built from the declared operator set.  The closures are built on
-    every call; a search builds them, or compiles the tree, once.
+    """Score the tree on one edge context: the bits
+    ``build_scorer(expression)`` returns for ``ctx.q`` and the two visit
+    counts as floats, a finite float for finite inputs.  The closures are
+    built on every call; a search builds them, or compiles the tree, once.
     """
     return build_scorer(expression)(ctx.q, float(ctx.n_parent), float(ctx.n_child))
 
@@ -480,10 +485,9 @@ def evaluate(expression: Expression, ctx: NodeContext) -> float:
 def uct_seed(c: float) -> Expression:
     """The UCB1 selection rule Q + c*sqrt(2*ln(Np)/Nc) as an expression tree.
 
-    This is the individual every evolutionary run starts from; with the
-    statistics produced by the search engine (Np >= 1, Nc >= 1) none of
-    the protected fallbacks fire, so the tree evaluates exactly like the
-    closed-form rule.
+    Every evolutionary run starts from it, and ``mcts.UctPolicy`` scores
+    with it: on the search's statistics no guard fires for a ``c`` that
+    ``mcts.check_uct_constant`` accepts, so it is the closed form.
     """
     bonus = Func(
         "sqrt",

@@ -9,48 +9,37 @@ A selection policy provides ``descend(node, rng) -> path``, which
 ``select`` calls once per iteration.  From ``node``, while the node has
 no untried action and has children, it scores every child from its mean
 reward ``q``, the parent's visit count and its own visit count (both
-ints >= 1, the fields of :class:`~evomcts.expr.NodeContext`) and moves
-to the child with the top score; it returns the search path, the list
-of nodes from ``node`` down to the node it stops at, both included, and
-raises ValueError when no child of a level scores above -inf.  The path
-is the only record of ancestry, and backpropagation walks it: a node
-has no link to its parent, so a tree holds no reference cycle and is
-freed as soon as its root is dropped.  Each policy also scores one
-child when called as ``policy(q, n_parent, n_child)``, with the
-arithmetic of its ``descend``.
+ints >= 1) and moves to the child with the top score; it returns the
+search path, the nodes from ``node`` down to the node it stops at, both
+included, and raises ValueError when no child of a level scores above
+-inf.  The path is the only record of ancestry: a node has no link to
+its parent, so a tree holds no reference cycle and is freed as soon as
+its root is dropped.  Called as ``policy(q, n_parent, n_child)``, a
+policy scores one child with the arithmetic of its ``descend``.
 
-Selection lives in this module alone.  Every ``descend`` is one
-skeleton, :func:`_descent_factory`: the walk, the tie bookkeeping, the
-tie-break draw and the -inf check are written there once, around the
-lines that score a child.  Two policies are provided.
-:class:`UctPolicy` compiles it around closed-form UCB1 with a fixed
-exploration constant (:func:`compile_descent`), and
-:class:`ExpressionPolicy` around the statements
-:func:`~evomcts.expr.formula_code` writes for an expression tree
-(:func:`compile_chooser`).  A formula takes one of two routes to a
-``descend``, by how often it will score.  :func:`compile_chooser` pays
-``compile()`` once, about 0.26 ms for an evolved formula (7.6 nodes on
-average), and a child then costs about 0.24 us: the route for a formula
-deployed for thousands of iterations.  :func:`scorer_descent` compiles
-no formula: it builds :func:`~evomcts.expr.build_scorer`'s closures, in
-about 17 us, and hands them to one copy of the skeleton, compiled at
-import; a child then costs about 0.29 us.  The two break even near
-5,000 scored children, and an offspring's 30-iteration fitness
-evaluation scores a few hundred, so ``siea`` takes the closure route.
-Both give the same paths and RNG states, bit for bit.
+Every policy scores with a formula, and selection lives in this module
+alone: one skeleton, :func:`_descent_factory`, writes the walk, the tie
+bookkeeping, the tie-break draw and the -inf check once, around the
+lines that score a child.  :class:`ExpressionPolicy` compiles a tree's
+:func:`~evomcts.expr.formula_code` into it (:func:`compile_chooser`),
+and :class:`UctPolicy` is the policy of UCB1's tree, ``uct_seed(c)``.
+:func:`scorer_descent` compiles no formula: it hands
+:func:`~evomcts.expr.build_scorer`'s closures to one copy of the
+skeleton, compiled at import.  For an evolved formula (7.6 nodes on
+average) compiling costs about 0.26 ms and closures 17 us, and a child
+then 0.24 us against 0.29 us: even near 5,000 children, so ``siea``
+scores each offspring's 30-iteration evaluation with closures.  Both
+routes give the same paths and RNG states, bit for bit.
 
-The search domain.  A child's mean reward is a mean of rewards in
-[0, 1], never -0.0, and a visit count is an int >= 1, exact as a float
-up to 2^53: :data:`SEARCH_DOMAIN`.  Each route takes a ``domain``, and
-the searches pass this one: :class:`ExpressionPolicy` compiles its tree
-over it, and ``siea`` builds each offspring's closures over it.  A
-formula so built keeps only the guards the search's statistics can
-trigger (:mod:`evomcts.expr` says which it drops, and why -0.0 and
-``log`` need care), so it gives the full formula's bits on the domain
-and need not off it; the UCB1 seed tree keeps no guard at all, and runs
-:class:`UctPolicy`'s operations in its order.  Without a domain both
-routes keep every guard and match :func:`~evomcts.expr.evaluate` on any
-float input.
+The search domain, :data:`SEARCH_DOMAIN`: a child's mean reward lies in
+[0, 1] and is never -0.0, and a visit count is an int >= 1, exact as a
+float up to 2^53.  The searches build every formula over it, so each
+keeps only the guards the search's statistics can trigger
+(:mod:`evomcts.expr` says which) and gives the full formula's bits on
+the domain.  The UCB1 tree keeps none: compiled, it is the closed form
+``q + c * sqrt(2.0 * log(n_parent) / n_child)``, with ``2.0 *
+log(n_parent)`` once per level and int counts.  Without a domain both
+routes keep every guard and match :func:`~evomcts.expr.evaluate`.
 
 RNG protocol (all determinism and the trace tests rest on this): the
 engine draws from a single ``random.Random`` stream.  Every index pick
@@ -69,8 +58,18 @@ from __future__ import annotations
 
 import math
 import random
+import re
 
-from .expr import Expression, NodeContext, build_scorer, evaluate, formula_code
+from .expr import (
+    MAX_ABS,
+    Expression,
+    NodeContext,
+    build_scorer,
+    evaluate,
+    formula_code,
+    uct_seed,
+    value_range,
+)
 
 #: The values the search gives a formula's statistics.  ``Q`` is a mean
 #: of rewards in [0, 1], never -0.0, and the visit counts ``Np`` and
@@ -83,7 +82,7 @@ __all__ = [
     "UctPolicy",
     "ExpressionPolicy",
     "draw_index",
-    "compile_descent",
+    "check_uct_constant",
     "compile_chooser",
     "scorer_descent",
     "create_root",
@@ -156,23 +155,17 @@ def draw_index(rng: random.Random, n: int) -> int:
 def _descent_factory(level_lines: list, child_lines: list, score: str, free: tuple = ()):
     """Build ``make(*free) -> descend``, the one descent skeleton.
 
-    ``descend(node, rng) -> path`` serves UCB1, compiled formulas and
-    scorer-built formulas alike.  From ``node``, while the node has no
-    untried action and has children, it runs ``level_lines`` once (they
-    may read ``node``), then for each ``child`` the ``child_lines``,
-    after which the expression ``score`` is the child's score, and it
-    moves to the child with the top score.  When several children tie
-    exactly at the top it moves to the one at ``draw_index(rng,
-    len(ties))`` among them in creation order: a single winner leaves
-    the RNG untouched, and the list of ties is built only on a tie.
-    Returns the path walked, the nodes from ``node`` to the node it
-    stops at, both included; raises ValueError when no child of a level
-    scores above -inf (``pick`` is set only on a score above the running
-    best, which starts at -inf).
-
-    The lines may call ``log`` and ``sqrt``, and read the names in
-    ``free``, which are bound by each call of ``make``.  The descent
-    calls the ``draw_index`` this module holds when the factory is built.
+    At each level of ``descend(node, rng) -> path`` the ``level_lines``
+    run once (they may read ``node``), then for each ``child`` the
+    ``child_lines``, after which the expression ``score`` is the child's
+    score.  Among children tied exactly at the top it moves to the one at
+    ``draw_index(rng, len(ties))`` in creation order: a single winner
+    leaves the RNG untouched.  ``pick`` is set only on a score above the
+    running best, which starts at -inf, so a level that scores no child
+    above -inf raises ValueError.  The lines may call ``log`` and
+    ``sqrt`` and read the names in ``free``, bound by each call of
+    ``make``; the descent calls the ``draw_index`` this module holds
+    when the factory is built.
     """
     source = "\n".join(
         [
@@ -202,48 +195,65 @@ def _descent_factory(level_lines: list, child_lines: list, score: str, free: tup
             "    return descend",
         ]
     )
-    namespace = {
-        "log": math.log,
-        "sqrt": math.sqrt,
-        "_NEG_INF": -math.inf,
-        "draw_index": draw_index,
-    }
+    namespace = {"log": math.log, "sqrt": math.sqrt, "_NEG_INF": -math.inf, "draw_index": draw_index}
     exec(compile(source, "<compiled descent>", "exec"), namespace)
     # Popped, so the function is not in the globals it holds: no cycle.
     return namespace.pop("make")
 
 
-def compile_descent(level_lines: list, child_lines: list, score: str):
-    """Compile ``descend(node, rng) -> path`` around one scoring rule
-    written as source lines: the :func:`_descent_factory` skeleton with
-    no free names."""
-    return _descent_factory(level_lines, child_lines, score)()
+# formula_code's names for the statistics (compiled on first use, not at
+# import), and the operators to which an int count up to 2^53 gives its
+# float's bits: log and sqrt convert it to the same double, and true
+# division is correctly rounded.
+_STATISTIC = r"\b(q|n_parent|n_child)\b"
+_INT_EXACT = ("log", "sqrt", "div")
 
 
 def compile_chooser(expression: Expression, domain: dict | None = None):
     """Build the search's ``descend(node, rng) -> path`` from the tree.
 
-    The :func:`compile_descent` walk, scoring each child ``c`` bit for
-    bit as ``evaluate(expression, NodeContext(c.total_reward /
-    c.visits, node.visits, c.visits))`` does: the statements of
-    :func:`~evomcts.expr.formula_code`, with their per-level part run
-    once per level, before the child loop.  Only the statistics the tree
-    reads are fetched, and Np and Nc are converted with ``float()`` as
-    ``evaluate`` does.  ``q`` divides by ``float(c.visits)`` when Nc is
-    read too, which gives the same bits as dividing by the int.
-    ``domain`` goes to ``formula_code``: with :data:`SEARCH_DOMAIN` the
-    statements keep only the guards a search's statistics can trigger,
-    and the scores hold their bits for statistics in the domain alone.
+    The :func:`_descent_factory` walk around the tree's
+    :func:`~evomcts.expr.formula_code` over ``domain``, scoring each
+    child ``c`` with the bits of ``evaluate(expression, NodeContext(
+    c.total_reward / c.visits, node.visits, c.visits))``, for statistics
+    in ``domain`` when one is given.  Only the statistics the tree reads
+    are fetched, and one read once is written where it is read (Np read
+    per child is still fetched once per level).  A count is converted
+    with ``float()``, as ``evaluate`` does, unless ``domain`` bounds the
+    counts within 2^53 and each read of it is a direct operand of
+    ``log``, ``sqrt`` or a division, which give its float's bits from
+    the int.  A sum or product of counts can pass 2^53 as an exact int
+    and round differently, and a bare count would score as an int.
     """
     per_level, per_child, result, reads = formula_code(expression, domain)
-    level_lines = ["n_parent = float(node.visits)"] if "Np" in reads else []
-    child_lines = []
-    if "Nc" in reads:
-        child_lines.append("n_child = float(child.visits)")
-    if "Q" in reads:
-        visits = "n_child" if "Nc" in reads else "child.visits"
-        child_lines.append(f"q = child.total_reward / {visits}")
-    return compile_descent(level_lines + per_level, child_lines + per_child, result)
+    if "Q" in reads:  # q divides the total reward by n_child
+        reads.setdefault("Nc", []).append("div")
+    ints = domain is not None and all(abs(x) <= 2.0**53 for n in ("Np", "Nc") for x in domain[n])
+    fetch, level_lines, child_lines = {}, [], []
+
+    def fetched(line: str) -> str:
+        return re.sub(_STATISTIC, lambda match: fetch[match[1]], line)
+
+    for stat, local, source, lines in (
+        ("Np", "n_parent", "node.visits", level_lines),
+        ("Nc", "n_child", "child.visits", child_lines),
+        ("Q", "q", "child.total_reward / n_child", child_lines),
+    ):
+        readers = reads.get(stat)
+        if not readers:
+            continue
+        source = fetched(source)
+        if stat != "Q" and not (ints and all(op in _INT_EXACT for op in readers)):
+            source = f"float({source})"
+        once = len(readers) == 1 and readers[0] is not None
+        if once and not (stat == "Np" and any(local in line for line in per_child)):
+            fetch[local] = f"({source})"
+        else:
+            lines.append(f"{local} = {source}")
+            fetch[local] = local
+    level_lines += map(fetched, per_level)
+    child_lines += map(fetched, per_child)
+    return _descent_factory(level_lines, child_lines, fetched(result))()
 
 
 _make_scored_descent = _descent_factory(
@@ -255,55 +265,19 @@ _make_scored_descent = _descent_factory(
 
 
 def scorer_descent(expression: Expression, domain: dict | None = None):
-    """The search's ``descend(node, rng) -> path`` for the tree, compiling no formula.
-
-    The :func:`_descent_factory` walk, compiled once, at import, around
-    one :func:`~evomcts.expr.build_scorer` call per child: the same
-    paths and RNG state as :func:`compile_chooser`'s descent with the
-    same ``domain``, at no ``compile()`` cost, but with one Python call
-    per operator node and child.
+    """The search's ``descend(node, rng) -> path`` for the tree, compiling no formula:
+    the skeleton compiled at import around one
+    :func:`~evomcts.expr.build_scorer` call per child, with the paths and
+    RNG state of :func:`compile_chooser`'s descent over the same ``domain``.
     """
     return _make_scored_descent(build_scorer(expression, domain))
 
 
-class UctPolicy:
-    """Closed-form UCB1 score: q + c * sqrt(2 * ln(n_parent) / n_child).
-
-    ``descend`` is built by :func:`compile_descent`, with
-    ``c`` written into its source and ``2.0 * log(n_parent)`` computed
-    once per level: ``2.0 * log(n_parent) / n_child`` evaluates left to
-    right, so the hoisting leaves every score unchanged.
-    """
-
-    def __init__(self, c: float):
-        self.c = float(c)
-        # An infinite c scores every child inf, so each level would be an
-        # exact tie, and NaN scores none; nor is either repr a float literal.
-        if not math.isfinite(self.c):
-            raise ValueError(f"uct exploration constant must be finite, got {self.c!r}")
-        self.descend = compile_descent(
-            ["k = 2.0 * log(node.visits)"],
-            ["n = child.visits", f"score = child.total_reward / n + {self.c!r} * sqrt(k / n)"],
-            "score",
-        )
-
-    def __call__(self, q: float, n_parent: int, n_child: int) -> float:
-        return q + self.c * math.sqrt(2.0 * math.log(n_parent) / n_child)
-
-    def __repr__(self):
-        return f"UctPolicy(c={self.c!r})"
-
-
 class ExpressionPolicy:
-    """Score children with an expression tree.
-
-    ``select`` calls ``descend``, the tree compiled by
-    :func:`compile_chooser` into one function that walks from the root
-    to the node to expand and returns the path it walked; ``__call__``
-    scores one child through
-    :func:`~evomcts.expr.evaluate`, with the same bits on the search's
-    statistics: ``descend`` is compiled over :data:`SEARCH_DOMAIN`.
-    """
+    """Score children with an expression tree: ``descend`` is the tree
+    compiled by :func:`compile_chooser` over :data:`SEARCH_DOMAIN`, and
+    ``__call__`` scores one child through :func:`~evomcts.expr.evaluate`,
+    with the same bits on the search's statistics."""
 
     def __init__(self, expression: Expression):
         self.expression = expression
@@ -316,6 +290,40 @@ class ExpressionPolicy:
         return f"ExpressionPolicy({str(self.expression)!r})"
 
 
+def check_uct_constant(c: float) -> float:
+    """``c`` as a float, if ``uct_seed(c)`` is UCB1's closed form over
+    :data:`SEARCH_DOMAIN`; else ValueError.  It is unless ``c`` is not
+    finite (inf scores every child inf, NaN none) or a score reaches the
+    saturation at +-``MAX_ABS``: the bonus ``sqrt(2 ln Np / Nc)``
+    reaches about 8.57, so ``|c|`` above about 1.17e299 does."""
+    if not math.isfinite(c):
+        raise ValueError(f"uct exploration constant must be finite, got {c!r}")
+    c = float(c)
+    lo, hi = value_range(uct_seed(c), SEARCH_DOMAIN)
+    if not -MAX_ABS < lo <= hi < MAX_ABS:
+        raise ValueError(
+            f"uct exploration constant {c!r} is too large: UCB1 scores would reach "
+            f"the formula's saturation at +-{MAX_ABS!r}"
+        )
+    return c
+
+
+class UctPolicy(ExpressionPolicy):
+    """UCB1, q + c * sqrt(2 * ln(n_parent) / n_child): the policy of the
+    tree ``uct_seed(c)``, for a ``c`` that :func:`check_uct_constant`
+    accepts."""
+
+    def __init__(self, c: float):
+        self.c = check_uct_constant(c)
+        super().__init__(uct_seed(self.c))
+
+    # Its own entry, so that a tracer can count UCB1's calls apart.
+    __call__ = ExpressionPolicy.__call__
+
+    def __repr__(self):
+        return f"UctPolicy(c={self.c!r})"
+
+
 def create_root(env) -> SearchNode:
     """Fresh single-node tree for an environment."""
     state = env.initial_state()
@@ -323,15 +331,9 @@ def create_root(env) -> SearchNode:
 
 
 def select(root: SearchNode, policy, rng: random.Random) -> list:
-    """Descend by policy score until an expandable or terminal node.
-
-    Returns the search path: the nodes from ``root`` to that node, both
-    included, in descent order.  Only visited children exist in
-    ``children``, so every scored child has visits >= 1.  Exact score
-    ties are broken uniformly at random.  Raises ValueError when the
-    policy scores no child above -inf (for instance when it returns
-    NaN).
-    """
+    """The policy's descent from ``root``: the search path to an
+    expandable or terminal node (see the module docstring).  Only visited
+    children exist, so every scored child has visits >= 1."""
     return policy.descend(root, rng)
 
 

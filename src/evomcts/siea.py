@@ -17,13 +17,10 @@ fitness (most recent on ties), not the final parent, since a comma
 strategy can walk away from its best individual.
 
 An offspring's fitness evaluation scores a few hundred children, too
-few to repay a ``compile()``, so it walks the tree through closures
-(:func:`~evomcts.mcts.scorer_descent`).  Only the best-of-run formula,
-which then scores children for thousands of iterations, is compiled, by
-:class:`~evomcts.mcts.ExpressionPolicy`.  Both routes run the one set
-of operator statements in ``expr``, with the guards that the search's
-statistics (:data:`~evomcts.mcts.SEARCH_DOMAIN`) cannot trigger dropped
-alike, so they score bit for bit alike.
+few to repay a ``compile()``, so it scores through closures
+(:func:`~evomcts.mcts.scorer_descent`); only the best-of-run formula is
+compiled (:class:`~evomcts.mcts.ExpressionPolicy`).  Both routes build
+the formula over :data:`~evomcts.mcts.SEARCH_DOMAIN` and score alike.
 """
 
 from __future__ import annotations

@@ -4,8 +4,9 @@ Everything here is written independently of the library internals: the
 scalar benchmark oracles re-derive each function with plain ``math``
 calls, the array oracles evaluate it over numpy arrays (numpy is a test
 dependency only), ``closed_form_uct`` is the selection score written
-out directly, and ``interpret`` scores an expression tree node by node,
-with the protected operators written out here.  Tests compare these
+out directly and ``closed_form_uct_descent`` the UCB1 descent around
+it, and ``interpret`` scores an expression tree node by node, with the
+protected operators written out here.  Tests compare these
 second routes against the library so a bug would have to appear twice,
 identically, to slip through.  ``interpret`` reads a tree only through
 its nodes' fields and imports nothing from ``evomcts.expr``, the module
@@ -40,6 +41,32 @@ settings.load_profile("derandomized")
 def closed_form_uct(q, n_parent, n_child, c):
     """Mean value plus c * sqrt(2 ln(parent visits) / child visits)."""
     return q + c * math.sqrt(2.0 * math.log(n_parent) / n_child)
+
+
+def closed_form_uct_descent(c):
+    """UCB1's ``descend(node, rng) -> path`` written out as a plain loop.
+
+    From ``node``, while it has no untried action and has children, it
+    scores every child with ``closed_form_uct`` on its int visit counts
+    and moves to the child with the top score; on an exact tie it moves
+    to ``ties[rng.randrange(len(ties))]``, the tied children in creation
+    order.  Returns the nodes walked, both ends included.
+    """
+
+    def descend(node, rng):
+        path = [node]
+        while not node.untried and node.children:
+            scores = [
+                closed_form_uct(child.total_reward / child.visits, node.visits, child.visits, c)
+                for child in node.children
+            ]
+            top = max(scores)
+            ties = [child for child, score in zip(node.children, scores) if score == top]
+            node = ties[0] if len(ties) == 1 else ties[rng.randrange(len(ties))]
+            path.append(node)
+        return path
+
+    return descend
 
 
 # ----------------------------------------------------------------------

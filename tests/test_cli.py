@@ -77,6 +77,13 @@ class TestAgentSpec:
         with pytest.raises(ValueError, match="must be finite"):
             AgentSpec("uct", c)
 
+    @pytest.mark.parametrize("c", [1e300, -1.2e299, 1.7e308])
+    def test_c_the_formula_would_saturate_rejected(self, c):
+        # UCB1 runs as the formula uct_seed(c), whose scores would reach
+        # the +-1e300 saturation and part from the closed form.
+        with pytest.raises(ValueError, match="saturation"):
+            AgentSpec("uct", c)
+
     def test_c_is_stored_as_a_float(self, tmp_path):
         # An integer c is its float: same label, log and export bytes.
         trees = [tmp_path / "int", tmp_path / "float"]
@@ -380,13 +387,13 @@ class TestRunExperiment:
         # Building a UCB1 policy compiles its descent, which made short
         # runs markedly slower when every run built its own.
         compiled = []
-        compile_descent = mcts.compile_descent
+        compile_chooser = mcts.compile_chooser
 
         def counting_compile(*args):
             compiled.append(args)
-            return compile_descent(*args)
+            return compile_chooser(*args)
 
-        monkeypatch.setattr(mcts, "compile_descent", counting_compile)
+        monkeypatch.setattr(mcts, "compile_chooser", counting_compile)
         cli._uct_policy.cache_clear()
         agents = [AgentSpec("uct", 0.5), AgentSpec("uct", 1.0)]
         cfg = _uct_cfg(tmp_path, functions=["f1", "f2"], agents=agents, runs=3, iterations=20)
@@ -578,6 +585,13 @@ class TestMain:
         code = main([*argv, "--out", str(tmp_path / "out")])
         assert code == 2
         assert "must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_saturating_c_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        argv = ["--functions", "f1", "--runs", "1", "--iterations", "20"]
+        argv += ["--allow-any-c", "--agents", "uct:1e300", "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        assert "saturation" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("via", ["flag", "config"])

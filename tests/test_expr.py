@@ -537,8 +537,10 @@ class TestTotalisation:
             assert_descent_picks(build(node), root, [children[0], children[2]])
 
     def test_compiled_tree_deeper_than_parser_nesting(self):
-        # One statement per node: a 300-deep chain would exceed the
-        # nesting limit of Python's parser as a single nested expression.
+        # A 300-deep chain would exceed the nesting limit of Python's
+        # parser as a single nested expression.  Without a domain each
+        # node is its own statement; over the search's domain the chain
+        # keeps no guard and is written inline, and named every 16 levels.
         # The scorer's closures nest 300 calls deep, as the interpreter
         # does.
         # The chain reads only Np, so it runs in the per-node stage; the
@@ -552,8 +554,12 @@ class TestTotalisation:
         children = [leaf(v, v * v) for v in (1, 2, 3)]
         want = _reference_ties(e, 7, children)
         assert want == children
+        per_level, per_child, _, _ = formula_code(e, SEARCH_DOMAIN)
+        assert len(per_level) == 300 // 16 + 1 and len(per_child) == 1
+        assert max(line.count("(") for line in per_level) == 16
         for build in DESCENT_BUILDERS:
-            assert_descent_picks(build(e), one_level_root(7, children), want)
+            for domain in (None, SEARCH_DOMAIN):
+                assert_descent_picks(build(e, domain), one_level_root(7, children), want)
 
     def test_saturation_on_product_towers(self):
         # A balanced tower of 128 multiplied parent counts overflows
@@ -658,8 +664,38 @@ def _power_of_np(squarings):
     return text
 
 
+def _inline_power_of_np(squarings):
+    # The statement text of _power_of_np(squarings) with no guard kept.
+    text = "n_parent * n_parent"
+    for _ in range(squarings - 1):
+        text = f"({text}) * ({text})"
+    return text
+
+
 def _bits(value):
     return struct.pack("<d", value)
+
+
+class TestIntCounts:
+    """A compiled descent passes a visit count to ``log``, ``sqrt`` and a
+    division as the int itself (``mcts.compile_chooser``).  That rests on
+    these giving the bits of the same operations on the count's float,
+    for counts up to 2^53, on every Python the package supports."""
+
+    @given(
+        n=st.integers(1, 2**53),
+        m=st.integers(1, 2**53),
+        x=st.floats(allow_nan=False, allow_infinity=False),
+    )
+    @settings(max_examples=500)
+    def test_an_int_count_gives_its_floats_bits(self, n, m, x):
+        fn, fm = float(n), float(m)
+        pairs = [(math.log(n), math.log(fn)), (math.sqrt(n), math.sqrt(fn))]
+        pairs += [(x / n, x / fn), (n / m, fn / fm)]
+        if x != 0:
+            pairs.append((n / x, fn / x))
+        for got, want in pairs:
+            assert _bits(got) == _bits(want)
 
 
 class TestRangePass:
@@ -670,37 +706,42 @@ class TestRangePass:
         unary = op in ("log", "sqrt")
         e = Func(op, (Var("Q"),) if unary else (Var("Q"), Var("Nc")))
         want = [line.format(r="t0", a="q", b="n_child") for line in full]
-        assert formula_code(e) == ([], want, "t0", {"Q", "Nc"} - ({"Nc"} if unary else set()))
+        # One reader per read: div's statements read the divisor twice.
+        reads = {"Q": [op] * "".join(full).count("{a}")}
+        if not unary:
+            reads["Nc"] = [op] * "".join(full).count("{b}")
+        assert formula_code(e) == ([], want, "t0", reads)
         inner = Func("add", (Var("Np"), Const(2.0)))
         e = Func(op, (inner,) if unary else (inner, Const(0.5)))
         per_level, per_child, result, reads = formula_code(e)
         inner_lines = [line.format(r="t0", a="n_parent", b="2.0") for line in _FULL_STATEMENTS["add"]]
         outer = [line.format(r="t2", a="t0", b="0.5") for line in full]
-        assert (per_level, per_child, result, reads) == (inner_lines + outer, [], "t2", {"Np"})
+        assert (per_level, per_child, result, reads) == (inner_lines + outer, [], "t2", {"Np": ["add"]})
 
     @pytest.mark.parametrize("c", K_VALUES)
     def test_ucb1_seed_keeps_no_guard(self, c):
         # On the search's statistics the seed tree is UCB1's closed form,
-        # operation for operation.
+        # operation for operation, written inline: 2.0 * log(n_parent) is
+        # read per child, so it is named once per level, and the score is
+        # named for the skeleton to read.
         per_level, per_child, result, reads = formula_code(uct_seed(c), SEARCH_DOMAIN)
-        assert per_level == ["t0 = log(n_parent)", "t1 = 2.0 * t0"]
-        assert per_child == ["t2 = t1 / n_child", "t3 = sqrt(t2)", f"t4 = {c!r} * t3", "t5 = q + t4"]
-        for line in per_level + per_child:
-            assert "abs" not in line and "0.001" not in line and "1e+300" not in line
+        assert per_level == ["t0 = 2.0 * log(n_parent)"]
+        assert per_child == [f"t1 = q + ({c!r} * sqrt(t0 / n_child))"]
+        assert (result, reads) == ("t1", {"Np": ["log"], "Nc": ["div"], "Q": ["add"]})
 
     @pytest.mark.parametrize(
         "text, kept",
         [
             # Q can be 0: log keeps its zero guard, not its abs.
             ("(log Q)", ["t0 = 0.0 if q < 0.001 else log(q)"]),
-            ("(log (sub Q (k 0.5)))", ["abs(t0)", "t1 < 0.001"]),
-            ("(sqrt (sub Q (k 0.5)))", ["sqrt(abs(t0))"]),
+            ("(log (sub Q (k 0.5)))", ["t0 = abs(q - 0.5)", "t0 < 0.001"]),
+            ("(sqrt (sub Q (k 0.5)))", ["t0 = sqrt(abs(q - 0.5))"]),
             # -0.0 >= 0, yet sqrt(-0.0) is -0.0 and sqrt(abs(-0.0)) is 0.0.
             ("(sqrt (k -0.0))", ["t0 = sqrt(abs(-0.0))"]),
-            ("(sqrt (mul (k -0.0) Q))", ["t1 = sqrt(abs(t0))"]),
-            ("(sqrt (add (k -0.0) (k -0.0)))", ["t1 = sqrt(abs(t0))"]),
-            ("(sqrt (sub (k -0.0) Q))", ["t1 = sqrt(abs(t0))"]),
-            ("(sqrt (add (k -0.0) Q))", ["t1 = sqrt(t0)"]),
+            ("(sqrt (mul (k -0.0) Q))", ["t0 = sqrt(abs(-0.0 * q))"]),
+            ("(sqrt (add (k -0.0) (k -0.0)))", ["t0 = sqrt(abs(-0.0 + -0.0))"]),
+            ("(sqrt (sub (k -0.0) Q))", ["t0 = sqrt(abs(-0.0 - q))"]),
+            ("(sqrt (add (k -0.0) Q))", ["t0 = sqrt(-0.0 + q)"]),
             # A divisor that can come near 0 keeps the protection; the
             # quotient is then at most 1000 in magnitude, not saturated.
             ("(div Q (sub Np Nc))", ["t1 = 1.0 if abs(t0) < 0.001 else q / t0"]),
@@ -714,8 +755,11 @@ class TestRangePass:
             ("(sub (k -1e300) Q)", ["t0 = -1e+300 - q"]),
             ("(sub (k -1.0000000000000002e300) Q)", ["-1e+300 if t0 < -1e+300"]),
             # 2^53 to the 16th power is below 1e300, to the 32nd above.
-            (_power_of_np(4), ["t14 = t6 * t13"]),
-            (_power_of_np(5), ["t30 = t14 * t29", "1e+300 if t30 > 1e+300"]),
+            (_power_of_np(4), [f"t0 = {_inline_power_of_np(4)}"]),
+            (_power_of_np(5), [f"t0 = ({_inline_power_of_np(4)}) * (", "1e+300 if t0 > 1e+300"]),
+            # Q * Q cannot be negative but can come near 0: the operand
+            # that the zero guard reads twice is named.
+            ("(log (mul Q Q))", ["t0 = q * q", "t1 = 0.0 if t0 < 0.001 else log(t0)"]),
         ],
     )
     def test_guards_kept_where_the_domain_reaches_them(self, text, kept):
@@ -745,6 +789,13 @@ class TestRangePass:
         ties = _reference_ties(root, n_parent, children)
         for build in DESCENT_BUILDERS:
             assert_descent_picks(build(root, SEARCH_DOMAIN), one_level_root(n_parent, children), ties)
+
+    def test_a_guarded_divisor_is_named_once(self):
+        # The protected division reads its divisor twice; an inline
+        # divisor would be computed twice.
+        per_level, per_child, result, _ = formula_code(parse("(div Q (sub Np Nc))"), SEARCH_DOMAIN)
+        want = ["t0 = n_parent - n_child", "t1 = 1.0 if abs(t0) < 0.001 else q / t0"]
+        assert (per_level, per_child, result) == ([], want, "t1")
 
     def test_negative_zero_operand_keeps_its_abs(self):
         for text in ("(sqrt (k -0.0))", "(log (k -0.0))", "(sqrt (mul (k -0.0) Q))"):

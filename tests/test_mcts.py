@@ -14,19 +14,22 @@ from conftest import (
     assert_descent_picks,
     assert_same_path,
     closed_form_uct,
+    closed_form_uct_descent,
     interpret,
     tree_signature,
 )
 from evomcts import mcts
 from evomcts.bench import FUNCTION_IDS, FunctionEnv, IntervalState, eval_function
 from evomcts.cli import CANONICAL_C
-from evomcts.expr import K_VALUES, parse, uct_seed
+from evomcts.expr import K_VALUES, formula_code, parse, uct_seed
 from evomcts.mcts import (
+    SEARCH_DOMAIN,
     ExpressionPolicy,
     SearchNode,
     UctPolicy,
     backpropagate,
     best_child,
+    check_uct_constant,
     compile_chooser,
     create_root,
     draw_index,
@@ -42,7 +45,10 @@ from evomcts.siea import EvolutionConfig, evaluate_individual, run_siea_search
 
 def _reference_score(policy):
     """The score a policy's ``descend`` must reproduce: UCB1's closed
-    form, or conftest's interpreter on the policy's expression."""
+    form, conftest's interpreter on the policy's expression, or, for a
+    test's own policy, its ``__call__``."""
+    if isinstance(policy, UctPolicy):
+        return lambda q, n_parent, n_child: closed_form_uct(q, n_parent, n_child, policy.c)
     if isinstance(policy, ExpressionPolicy):
         return lambda q, n_parent, n_child: interpret(policy.expression, q, n_parent, n_child)
     return policy
@@ -93,49 +99,138 @@ def _stats_root(child_stats):
     return root
 
 
+def _assert_same_descent(descend, reference, root):
+    # The same path and RNG state as the reference descent, on a tie too.
+    got_rng, want_rng = random.Random(50), random.Random(50)
+    assert_same_path(descend(root, got_rng), reference(root, want_rng))
+    assert got_rng.getstate() == want_rng.getstate()
+
+
+def _ucb1_samples(rng, count):
+    """``count`` of ``(q, n_parent, n_child, root)``: a root over one
+    child with statistics ``q`` and ``n_child``, half the time a second
+    child equal to it, so that the top score ties, and one other."""
+    for _ in range(count):
+        n_child = rng.randrange(1, 5_000)
+        q = rng.randrange(n_child + 1) / n_child
+        visits, total = rng.randrange(1, 20), float(rng.randrange(20))
+        stats = [(n_child, q * n_child), (n_child, q * n_child), (visits, min(total, visits))]
+        root = _stats_root(stats[rng.randrange(2) :])
+        yield q, root.visits, n_child, root
+
+
 class TestPolicies:
     def test_uct_policy_matches_closed_form(self):
         rng = random.Random(51)
         for c in K_VALUES:
-            policy = UctPolicy(c)
-            for _ in range(200):
-                n_parent = rng.randrange(1, 10_000)
-                n_child = rng.randrange(1, n_parent + 1)
-                q = rng.random()
+            policy, reference = UctPolicy(c), closed_form_uct_descent(c)
+            for q, n_parent, n_child, root in _ucb1_samples(rng, 200):
                 assert policy(q, n_parent, n_child) == closed_form_uct(q, n_parent, n_child, c)
+                _assert_same_descent(policy.descend, reference, root)
 
     def test_expression_policy_equals_uct_policy(self):
         # None of the seed tree's protected fallbacks or saturations fire
-        # on search statistics, so the two agree bit for bit.
+        # on search statistics, so the tree scores and descends as UCB1's
+        # closed form does, bit for bit.
         rng = random.Random(52)
         for c in (*K_VALUES, 0.7, 1e-3, 0.0, -1.0, 123.456):
-            tree_policy = ExpressionPolicy(uct_seed(c))
-            closed = UctPolicy(c)
-            for _ in range(200):
-                n_parent = rng.randrange(1, 10_000)
-                n_child = rng.randrange(1, n_parent + 1)
-                stats = (rng.random(), n_parent, n_child)
-                assert tree_policy(*stats) == closed(*stats)
+            tree_policy, reference = ExpressionPolicy(uct_seed(c)), closed_form_uct_descent(c)
+            for q, n_parent, n_child, root in _ucb1_samples(rng, 200):
+                assert tree_policy(q, n_parent, n_child) == closed_form_uct(q, n_parent, n_child, c)
+                _assert_same_descent(tree_policy.descend, reference, root)
 
     @pytest.mark.parametrize("function_id", FUNCTION_IDS)
     def test_ucb1_is_already_a_formula(self, function_id):
         # The seed tree, compiled over the search's domain, runs a UCB1
-        # search exactly as the closed form does: the same expansions,
-        # tree and RNG state, for every canonical constant.
+        # search exactly as the closed-form descent does: the same
+        # expansions, tree and RNG state, for every canonical constant.
         for c in CANONICAL_C:
             for seed in (31, 32):
                 runs = []
-                for policy in (UctPolicy(c), ExpressionPolicy(uct_seed(c))):
+                for policy in (
+                    SimpleNamespace(descend=closed_form_uct_descent(c)),
+                    UctPolicy(c),
+                    ExpressionPolicy(uct_seed(c)),
+                ):
                     rng = random.Random(seed)
                     root, log = run_search(FunctionEnv(function_id), policy, 1_000, rng)
                     runs.append((log, tree_signature(root), rng.getstate()))
-                assert runs[0] == runs[1], (c, seed)
+                assert runs[0] == runs[1] == runs[2], (c, seed)
 
     def test_expression_policy_compiles_over_the_search_domain(self):
-        # No guard is left to call abs() in the deployed seed formula.
-        names = ExpressionPolicy(uct_seed(1.0)).descend.__code__.co_names
-        assert "log" in names and "sqrt" in names and "abs" not in names
-        assert "abs" in compile_chooser(uct_seed(1.0)).__code__.co_names
+        # No guard is left to call abs() in the deployed seed formula, and
+        # its counts feed only log and a division, so they stay ints.
+        for c in K_VALUES:
+            names = ExpressionPolicy(uct_seed(c)).descend.__code__.co_names
+            assert "log" in names and "sqrt" in names
+            assert "abs" not in names and "float" not in names
+        names = compile_chooser(uct_seed(1.0)).__code__.co_names
+        assert "abs" in names and "float" in names
+        # Counts past 2^53 need not convert exactly.
+        domain = {**SEARCH_DOMAIN, "Np": (1.0, 2.0**60)}
+        assert "float" in compile_chooser(uct_seed(1.0), domain).__code__.co_names
+
+    @pytest.mark.parametrize(
+        "text, converts",
+        [
+            # A product or sum of counts can pass 2^53 as an exact int.
+            ("(mul Np Nc)", True),
+            ("(add (log Np) (mul Np Q))", True),
+            ("(sub Q Nc)", True),
+            # A bare count would reach the score as an int.
+            ("Nc", True),
+            ("(div Nc Np)", False),
+            ("(add (log (sqrt Nc)) (div Q Np))", False),
+        ],
+    )
+    def test_counts_stay_ints_only_under_log_sqrt_and_div(self, text, converts):
+        names = ExpressionPolicy(parse(text)).descend.__code__.co_names
+        assert ("float" in names) == converts
+
+    def test_descent_lines_fetch_each_statistic_once(self, monkeypatch):
+        # UCB1 compiles to the closed form's operations: 2.0 * log of the
+        # parent's count once per level, and the child's count fetched
+        # once for its two reads.  Np read per child is still fetched
+        # once per level.
+        lines = []
+
+        def spy(level_lines, child_lines, score):
+            lines.append((level_lines, child_lines, score))
+            return lambda: None
+
+        monkeypatch.setattr(mcts, "_descent_factory", spy)
+        ExpressionPolicy(uct_seed(0.5))
+        ExpressionPolicy(parse("(div Nc Np)"))
+        assert lines == [
+            (
+                ["t0 = 2.0 * log((node.visits))"],
+                ["n_child = child.visits", "t1 = (child.total_reward / n_child) + (0.5 * sqrt(t0 / n_child))"],
+                "t1",
+            ),
+            (["n_parent = node.visits"], ["t0 = (child.visits) / n_parent"], "t0"),
+        ]
+
+    def test_uct_policy_is_the_seed_formula(self):
+        policy = UctPolicy(2)
+        assert isinstance(policy, ExpressionPolicy)
+        assert policy.c == 2.0 and type(policy.c) is float
+        assert policy.expression == uct_seed(2.0)
+        assert repr(policy) == "UctPolicy(c=2.0)"
+        # The method a tracer counts UCB1's calls by.
+        assert "__call__" in UctPolicy.__dict__
+
+    def test_uct_constant_stops_where_the_formula_would_saturate(self):
+        # The range pass bounds the bonus sqrt(2 ln Np / Nc) by about
+        # 8.57, so near 1e300 / 8.57 mul's saturation would come back.
+        largest = 1.166633214614198e299
+        for sign in (1.0, -1.0):
+            c = sign * largest
+            assert check_uct_constant(c) == c
+            per_level, per_child, _, _ = formula_code(uct_seed(c), SEARCH_DOMAIN)
+            assert "1e+300" not in "\n".join(per_level + per_child)
+            for c in (sign * math.nextafter(largest, math.inf), sign * 1e300, sign * 1.7e308):
+                with pytest.raises(ValueError, match="saturation"):
+                    UctPolicy(c)
 
     @pytest.mark.parametrize("c", [math.inf, -math.inf, math.nan])
     def test_uct_policy_rejects_non_finite_c(self, c):
